@@ -1,11 +1,14 @@
 """Catalog of single-hop fading models on the instantaneous-SNR axis.
 
 Every model exposes the same surface: ``pdf``, ``cdf``, ``sample``,
-``to_h``, ``with_mean_snr`` and a ``mean`` property equal to E[gamma].
-pdf/cdf accept scalars or numpy arrays.  Where a model admits an
-H-function kernel the analytic path runs through :mod:`.foxh`; the
-samplers are built from the constitutive random-variable recipes
-instead, so Monte Carlo stays an independent route end to end.
+``with_mean_snr`` and a ``mean`` property equal to E[gamma].  pdf/cdf
+accept scalars or numpy arrays.  ``to_h`` returns the H-function
+density of Exponential, Gamma, Weibull, GeneralizedGamma and
+GammaGamma; the other families raise ``UnsupportedHForm``.
+GammaGamma, Malaga and GenericH evaluate pdf/cdf through one H kernel
+in :mod:`.foxh`; the samplers are built from the constitutive
+random-variable recipes instead, so Monte Carlo stays an independent
+route end to end.
 
 Total probability of each distinct shape is checked once, at first
 construction, by an adaptive quadrature that does not share code with
@@ -70,7 +73,11 @@ class HRepresentation:
 
 
 class FadingModel:
-    """Shared checks for the concrete per-hop models."""
+    """Shared checks for the concrete per-hop models.
+
+    ``with_mean_snr`` and ``mean`` serve the families that scale through
+    a ``mean_snr`` field; the others override both.
+    """
 
     def pdf(self, gamma):
         raise NotImplementedError
@@ -82,14 +89,15 @@ class FadingModel:
         raise NotImplementedError
 
     def to_h(self):
-        raise NotImplementedError
+        raise UnsupportedHForm(
+            f"{type(self).__name__} exposes no single H-function density")
 
     def with_mean_snr(self, mean_snr: float) -> "FadingModel":
-        raise NotImplementedError
+        return replace(self, mean_snr=mean_snr)
 
     @property
     def mean(self) -> float:
-        raise NotImplementedError
+        return self.mean_snr
 
     def _shape_key(self) -> tuple:
         raise NotImplementedError
@@ -112,9 +120,6 @@ class FadingModel:
                     f"{type(self).__name__} density integrates to {total!r} "
                     f"(series tail {deficit:.2e}); check parameters"
                 )
-        except NormalizationError:
-            _norm_checked.pop(key, None)
-            raise
         except Exception:
             _norm_checked.pop(key, None)
             raise
@@ -168,13 +173,6 @@ class Exponential(FadingModel):
             params=HParams(m=1, n=0, lower=((0.0, 1.0),)),
         )
 
-    def with_mean_snr(self, mean_snr):
-        return replace(self, mean_snr=mean_snr)
-
-    @property
-    def mean(self):
-        return self.mean_snr
-
     def _shape_key(self):
         return ("exponential",)
 
@@ -219,13 +217,6 @@ class Gamma(FadingModel):
             kappa=rate / math.gamma(m), delta=rate,
             params=HParams(m=1, n=0, lower=((m - 1.0, 1.0),)),
         )
-
-    def with_mean_snr(self, mean_snr):
-        return replace(self, mean_snr=mean_snr)
-
-    @property
-    def mean(self):
-        return self.mean_snr
 
     def _shape_key(self):
         return ("gamma", self.shape)
@@ -277,13 +268,6 @@ class Weibull(FadingModel):
             kappa=r, delta=r,
             params=HParams(m=1, n=0, lower=((1.0 - 1.0 / k, 1.0 / k),)),
         )
-
-    def with_mean_snr(self, mean_snr):
-        return replace(self, mean_snr=mean_snr)
-
-    @property
-    def mean(self):
-        return self.mean_snr
 
     def _shape_key(self):
         return ("weibull", self.shape)
@@ -343,13 +327,6 @@ class GeneralizedGamma(FadingModel):
             kappa=r / math.gamma(m), delta=r,
             params=HParams(m=1, n=0, lower=((m - 1.0 / xi, 1.0 / xi),)),
         )
-
-    def with_mean_snr(self, mean_snr):
-        return replace(self, mean_snr=mean_snr)
-
-    @property
-    def mean(self):
-        return self.mean_snr
 
     def _shape_key(self):
         return ("generalized_gamma", self.shape, self.power)
@@ -454,8 +431,66 @@ class WeibullGamma(FadingModel):
         return ("weibull_gamma", self.weibull_shape, self.gamma_shape)
 
 
+class _HKernel(FadingModel):
+    """pdf/cdf of a density kappa * H(delta * gamma) through :mod:`.foxh`.
+
+    Subclasses supply ``_canon``, the representation with gamma_power 0.
+    Malaga, whose kernel is a fused series without a parameter block,
+    supplies ``_kappa_delta``, ``_theta`` and both contours instead.
+    """
+
+    @property
+    def _kappa_delta(self) -> tuple[float, float]:
+        return self._canon.kappa, self._canon.delta
+
+    @cached_property
+    def _theta(self):
+        return foxh.cached_theta(foxh.log_theta(self._canon.params))
+
+    @cached_property
+    def _pdf_contour(self) -> ContourSpec:
+        return foxh.select_contour(self._canon.params)
+
+    @cached_property
+    def _cdf_contour(self) -> ContourSpec:
+        # left of the CDF kernel's weight pole at 1
+        return foxh.select_contour(self._canon.params, upper_bound=1.0)
+
+    def pdf(self, gamma):
+        kappa, delta = self._kappa_delta
+
+        def f(g):
+            out = np.zeros_like(g)
+            pos = g > 0
+            v, _ = foxh.mellin_barnes(
+                self._theta, self._pdf_contour, delta * g[pos]
+            )
+            out[pos] = kappa * v
+            return np.maximum(out, 0.0)
+
+        return _apply(gamma, f)
+
+    def cdf(self, gamma):
+        kappa, delta = self._kappa_delta
+
+        def f(g):
+            out = np.zeros_like(g)
+            pos = g > 0
+            v, _ = foxh.mellin_barnes(
+                self._theta, self._cdf_contour, delta * g[pos],
+                weight_power=0.0,
+            )
+            out[pos] = self._cdf_from_kernel(v, kappa, delta)
+            return np.clip(out, 0.0, 1.0)
+
+        return _apply(gamma, f)
+
+    def _cdf_from_kernel(self, v, kappa, delta):
+        return kappa / delta * v
+
+
 @dataclass(frozen=True)
-class GammaGamma(FadingModel):
+class GammaGamma(_HKernel):
     """Gamma-Gamma turbulence with zero-boresight pointing error.
 
     Irradiance I = Ia * Ip with Ia a unit-mean product of two Gamma
@@ -517,47 +552,6 @@ class GammaGamma(FadingModel):
     def _canon(self) -> HRepresentation:
         return self.to_h().canonical()
 
-    @cached_property
-    def _theta(self):
-        return foxh.cached_theta(foxh.log_theta(self._canon.params))
-
-    @cached_property
-    def _pdf_contour(self) -> ContourSpec:
-        return foxh.select_contour(self._canon.params)
-
-    @cached_property
-    def _cdf_contour(self) -> ContourSpec:
-        return foxh.select_contour(self._canon.params, upper_bound=1.0)
-
-    def pdf(self, gamma):
-        rep = self._canon
-
-        def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            v, _ = foxh.mellin_barnes(
-                self._theta, self._pdf_contour, rep.delta * g[pos]
-            )
-            out[pos] = rep.kappa * v
-            return np.maximum(out, 0.0)
-
-        return _apply(gamma, f)
-
-    def cdf(self, gamma):
-        rep = self._canon
-
-        def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            v, _ = foxh.mellin_barnes(
-                self._theta, self._cdf_contour, rep.delta * g[pos],
-                weight_power=0.0,
-            )
-            out[pos] = rep.kappa / rep.delta * v
-            return np.clip(out, 0.0, 1.0)
-
-        return _apply(gamma, f)
-
     def sample(self, rng, n):
         a, b, x2 = self.alpha, self.beta, self.xi ** 2
         ia = rng.gamma(a, 1.0 / a, n) * rng.gamma(b, 1.0 / b, n)
@@ -565,13 +559,6 @@ class GammaGamma(FadingModel):
         irr = ia * ip
         r = float(self.detection_order)
         return self.mean_snr * irr ** r / self._moment_irradiance(r)
-
-    def with_mean_snr(self, mean_snr):
-        return replace(self, mean_snr=mean_snr)
-
-    @property
-    def mean(self):
-        return self.mean_snr
 
     def _shape_key(self):
         return ("gamma_gamma", self.alpha, self.beta, self.xi,
@@ -612,11 +599,6 @@ class DoubleGeneralizedGamma(FadingModel):
         m = self.m1 if which == 1 else self.m2
         om = self.omega1 if which == 1 else self.omega2
         return (om / m) ** (r / a) * math.exp(sp.gammaln(m + r / a) - sp.gammaln(m))
-
-    @property
-    def mu_r(self) -> float:
-        """Scale such that gamma = mu_r * (I/path_loss)**r / E[(I/path_loss)**r]."""
-        return self.mean_snr
 
     def _product_moment(self, r: float) -> float:
         return self._factor_moment(1, r) * self._factor_moment(2, r)
@@ -691,13 +673,6 @@ class DoubleGeneralizedGamma(FadingModel):
             "quadrature here; no H-form is wired up"
         )
 
-    def with_mean_snr(self, mean_snr):
-        return replace(self, mean_snr=mean_snr)
-
-    @property
-    def mean(self):
-        return self.mean_snr
-
     def _shape_key(self):
         return ("double_generalized_gamma", self.alpha1, self.alpha2,
                 self.m1, self.m2, self.omega1, self.omega2,
@@ -705,7 +680,7 @@ class DoubleGeneralizedGamma(FadingModel):
 
 
 @dataclass(frozen=True)
-class Malaga(FadingModel):
+class Malaga(_HKernel):
     """Malaga atmospheric-turbulence irradiance with shadowed line of sight.
 
     Constitutive recipe: I = X * Z where X ~ Gamma(alpha, 1/alpha) is
@@ -822,36 +797,26 @@ class Malaga(FadingModel):
         )
 
     @property
+    def _kappa_delta(self) -> tuple[float, float]:
+        # the series coefficients already carry kappa
+        return 1.0, self._kernel[0]
+
+    @property
     def _left_edge(self) -> float:
         return max(0.0, 1.0 - self.alpha)
 
-    def pdf(self, gamma):
-        delta, _ = self._kernel
-        contour = ContourSpec(c=self._left_edge + 1.0)
+    @cached_property
+    def _pdf_contour(self) -> ContourSpec:
+        return ContourSpec(c=self._left_edge + 1.0)
 
-        def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            v, _ = foxh.mellin_barnes(self._theta, contour, delta * g[pos])
-            out[pos] = v
-            return np.maximum(out, 0.0)
+    @cached_property
+    def _cdf_contour(self) -> ContourSpec:
+        return ContourSpec(c=0.5 * (self._left_edge + 1.0))
 
-        return _apply(gamma, f)
-
-    def cdf(self, gamma):
-        delta, _ = self._kernel
-        contour = ContourSpec(c=0.5 * (self._left_edge + 1.0))
-
-        def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            v, _ = foxh.mellin_barnes(
-                self._theta, contour, delta * g[pos], weight_power=0.0
-            )
-            out[pos] = v / delta
-            return np.clip(out, 0.0, 1.0)
-
-        return _apply(gamma, f)
+    def _cdf_from_kernel(self, v, kappa, delta):
+        # v / delta rounds differently from 1.0 / delta * v; the shipped
+        # outputs were computed with this form
+        return v / delta
 
     def sample(self, rng, n):
         g, om = self.scatter_power, self.los_power
@@ -861,24 +826,6 @@ class Malaga(FadingModel):
         im = rng.normal(0.0, math.sqrt(g / 2.0), n)
         z = (np.sqrt(w * om) + re) ** 2 + im ** 2
         return self._snr_scale * x * z
-
-    def to_h(self) -> tuple[HRepresentation, ...]:
-        """Series of H kernels sharing one argument scale (may be long)."""
-        erl_scale, lw = self._series
-        a = self.alpha
-        delta = a / erl_scale
-        reps = []
-        for k, logw in enumerate(lw):
-            if not math.isfinite(logw):
-                continue
-            kappa = math.exp(logw - sp.gammaln(a) - sp.gammaln(k + 1.0))
-            reps.append(HRepresentation(
-                kappa=kappa, delta=delta,
-                params=HParams(m=2, n=0,
-                               lower=((a, 1.0), (k + 1.0, 1.0))),
-                gamma_power=-1.0,
-            ))
-        return tuple(reps)
 
     def with_mean_snr(self, mean_snr):
         return replace(self, mean_irradiance=mean_snr)
@@ -893,7 +840,7 @@ class Malaga(FadingModel):
 
 
 @dataclass(frozen=True)
-class GenericH(FadingModel):
+class GenericH(_HKernel):
     """User-supplied density kappa * H(delta * gamma | params).
 
     Normalization of the supplied triple is checked at construction.
@@ -911,41 +858,9 @@ class GenericH(FadingModel):
         self._verify_normalized()
 
     @cached_property
-    def _theta(self):
-        return foxh.cached_theta(foxh.log_theta(self.params))
-
-    @cached_property
-    def _pdf_contour(self) -> ContourSpec:
-        return foxh.select_contour(self.params)
-
-    @cached_property
-    def _cdf_contour(self) -> ContourSpec:
-        return foxh.select_contour(self.params, upper_bound=1.0)
-
-    def pdf(self, gamma):
-        def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            v, _ = foxh.mellin_barnes(
-                self._theta, self._pdf_contour, self.delta * g[pos]
-            )
-            out[pos] = self.kappa * v
-            return np.maximum(out, 0.0)
-
-        return _apply(gamma, f)
-
-    def cdf(self, gamma):
-        def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            v, _ = foxh.mellin_barnes(
-                self._theta, self._cdf_contour, self.delta * g[pos],
-                weight_power=0.0,
-            )
-            out[pos] = self.kappa / self.delta * v
-            return np.clip(out, 0.0, 1.0)
-
-        return _apply(gamma, f)
+    def _canon(self) -> HRepresentation:
+        return HRepresentation(kappa=self.kappa, delta=self.delta,
+                               params=self.params)
 
     @cached_property
     def _inverse_grid(self):
@@ -961,10 +876,6 @@ class GenericH(FadingModel):
         probs, lng = self._inverse_grid
         u = rng.uniform(probs[0], probs[-1], n)
         return np.exp(np.interp(u, probs, lng))
-
-    def to_h(self) -> HRepresentation:
-        return HRepresentation(kappa=self.kappa, delta=self.delta,
-                               params=self.params)
 
     def with_mean_snr(self, mean_snr):
         ratio = self.mean / mean_snr

@@ -16,13 +16,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .capacity import _POLICY_NAMES, PolicySpec
 from .errors import InsufficientSamples
 from .topology import Topology
 
 LN2 = math.log(2.0)
 
 _MIN_SAMPLES = 1000
-_POLICY_NAMES = ("cifr", "effective", "opra", "ora", "tcifr")
 # share of the inverse-SNR sum a single draw may carry before the
 # moment estimate is flagged as unstable
 _SHARE_LIMIT = 0.01
@@ -80,11 +80,7 @@ class PolicyRequest:
         elif self.cutoff is not None:
             raise ValueError(f"cutoff does not apply to {self.name}")
 
-    @property
-    def label(self) -> str:
-        if self.name == "effective":
-            return f"effective[delta={self.qos_delta:g}]"
-        return self.name
+    label = PolicySpec.label
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,15 @@
 A regenerative multihop link is limited by its weakest hop, so the
 serial end-to-end SNR is the minimum over hops.  Relay branches that
 are selected or summed combine the per-branch minima by max or by
-convolution respectively.  Samplers always realise the physical
-recipe (min / max of min / sum of min over per-hop draws), independent
-of the analytic CDF route.
+convolution respectively.  Each topology's ``combine`` realises the
+physical recipe (min / max of min / sum of min) over per-hop draws
+taken in ``flat_hops`` order; Monte Carlo samples through it,
+independent of the analytic CDF route.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,27 +59,37 @@ def serial_pdf(hops: Sequence[FadingModel], tau):
 
 def branch_cdf(pair: BranchPair, tau):
     """CDF of min(hop1, hop2): 1 - (1-F1)(1-F2)."""
-    first, second = pair
-
-    def f(t):
-        s1 = 1.0 - np.minimum(first.cdf(t), 1.0)
-        s2 = s1 if second == first else 1.0 - np.minimum(second.cdf(t), 1.0)
-        return 1.0 - s1 * s2
-
-    return _apply(tau, f)
+    return _apply(tau, lambda t: _branch_cdf(pair, _hop_sf(pair, t)))
 
 
 def branch_pdf(pair: BranchPair, tau):
+    return _apply(tau, lambda t: _branch_pdf(
+        pair, _hop_sf(pair, t), _hop_pdf(pair, t)))
+
+
+def _hop_sf(hops: Sequence[FadingModel], t: np.ndarray) -> dict[int, np.ndarray]:
+    """Clipped survival 1 - min(F, 1) of each distinct hop, by identity."""
+    return {id(h): 1.0 - np.minimum(h.cdf(t), 1.0) for h, _ in _grouped(hops)}
+
+
+def _hop_pdf(hops: Sequence[FadingModel], t: np.ndarray) -> dict[int, np.ndarray]:
+    """Density of each distinct hop, by identity."""
+    return {id(h): h.pdf(t) for h, _ in _grouped(hops)}
+
+
+def _branch_cdf(pair: BranchPair, sf: dict) -> np.ndarray:
     first, second = pair
+    s1 = sf[id(first)]
+    s2 = s1 if second is first else sf[id(second)]
+    return 1.0 - s1 * s2
 
-    def f(t):
-        s1 = 1.0 - np.minimum(first.cdf(t), 1.0)
-        if second == first:
-            return 2.0 * first.pdf(t) * s1
-        s2 = 1.0 - np.minimum(second.cdf(t), 1.0)
-        return first.pdf(t) * s2 + second.pdf(t) * s1
 
-    return _apply(tau, f)
+def _branch_pdf(pair: BranchPair, sf: dict, pdf: dict) -> np.ndarray:
+    first, second = pair
+    s1 = sf[id(first)]
+    if second is first:
+        return 2.0 * pdf[id(first)] * s1
+    return pdf[id(first)] * sf[id(second)] + pdf[id(second)] * s1
 
 
 def selective_cdf(branches: Sequence[BranchPair], tau, *, formula: str = "exact"):
@@ -93,19 +102,22 @@ def selective_cdf(branches: Sequence[BranchPair], tau, *, formula: str = "exact"
     kept selectable for comparison studies.
     """
     _check_formula(formula)
+    hops = _flat(branches)
     if formula == "exact":
         def f(t):
+            sf = _hop_sf(hops, t)
             out = np.ones_like(t)
             for pair in branches:
-                out = out * branch_cdf(pair, t)
+                out = out * _branch_cdf(pair, sf)
             return out
     else:
         def f(t):
+            sf = _hop_sf(hops, t)
             u = np.ones_like(t)
             v = np.ones_like(t)
             for first, second in branches:
-                u = u * (1.0 - np.minimum(first.cdf(t), 1.0))
-                v = v * (1.0 - np.minimum(second.cdf(t), 1.0))
+                u = u * sf[id(first)]
+                v = v * sf[id(second)]
             return (1.0 - u) * (1.0 - v)
 
     return _apply(tau, f)
@@ -113,10 +125,12 @@ def selective_cdf(branches: Sequence[BranchPair], tau, *, formula: str = "exact"
 
 def selective_pdf(branches: Sequence[BranchPair], tau, *, formula: str = "exact"):
     _check_formula(formula)
+    hops = _flat(branches)
     if formula == "exact":
         def f(t):
-            cdfs = [branch_cdf(p, t) for p in branches]
-            pdfs = [branch_pdf(p, t) for p in branches]
+            sf, pdf = _hop_sf(hops, t), _hop_pdf(hops, t)
+            cdfs = [_branch_cdf(p, sf) for p in branches]
+            pdfs = [_branch_pdf(p, sf, pdf) for p in branches]
             total = np.zeros_like(t)
             for i in range(len(branches)):
                 other = np.ones_like(t)
@@ -127,10 +141,11 @@ def selective_pdf(branches: Sequence[BranchPair], tau, *, formula: str = "exact"
             return total
     else:
         def f(t):
-            s1 = [1.0 - np.minimum(p[0].cdf(t), 1.0) for p in branches]
-            s2 = [1.0 - np.minimum(p[1].cdf(t), 1.0) for p in branches]
-            f1 = [p[0].pdf(t) for p in branches]
-            f2 = [p[1].pdf(t) for p in branches]
+            sf, pdf = _hop_sf(hops, t), _hop_pdf(hops, t)
+            s1 = [sf[id(p[0])] for p in branches]
+            s2 = [sf[id(p[1])] for p in branches]
+            f1 = [pdf[id(p[0])] for p in branches]
+            f2 = [pdf[id(p[1])] for p in branches]
             u = np.ones_like(t)
             v = np.ones_like(t)
             for a, b in zip(s1, s2):
@@ -159,16 +174,24 @@ def _check_formula(formula: str) -> None:
 
 
 def _grouped(hops: Sequence[FadingModel]) -> list[tuple[FadingModel, int]]:
-    """Collapse repeated identical hops so their factors are powers."""
+    """Collapse repeated hops so their factors are powers.
+
+    Repeats are found by identity: construction interns equal hops into
+    one object (see ``_intern_hops``).
+    """
     groups: list[tuple[FadingModel, int]] = []
     for hop in hops:
         for i, (seen, count) in enumerate(groups):
-            if seen == hop:
+            if seen is hop:
                 groups[i] = (seen, count + 1)
                 break
         else:
             groups.append((hop, 1))
     return groups
+
+
+def _flat(branches: Sequence[BranchPair]) -> tuple[FadingModel, ...]:
+    return tuple(h for pair in branches for h in pair)
 
 
 def _intern_one(model: FadingModel, seen: list[FadingModel]) -> FadingModel:
@@ -217,8 +240,25 @@ class Serial:
         return np.minimum.reduce(draws)
 
 
+class _Branched:
+    """Hop order, mean scaling and branch minima of two-hop branches."""
+
+    def flat_hops(self) -> tuple[FadingModel, ...]:
+        return _flat(self.branches)
+
+    def with_mean_snr(self, mean_snr: float):
+        return replace(self, branches=tuple(
+            (a.with_mean_snr(mean_snr), b.with_mean_snr(mean_snr))
+            for a, b in self.branches
+        ))
+
+    def _branch_minima(self, draws: list[np.ndarray]) -> list[np.ndarray]:
+        return [np.minimum(draws[2 * i], draws[2 * i + 1])
+                for i in range(len(self.branches))]
+
+
 @dataclass(frozen=True)
-class Selective:
+class Selective(_Branched):
     """Two-hop relay branches; the strongest branch minimum is used."""
 
     branches: tuple[BranchPair, ...]
@@ -230,23 +270,12 @@ class Selective:
         _check_formula(self.formula)
         object.__setattr__(self, "branches", _intern_pairs(self.branches))
 
-    def flat_hops(self) -> tuple[FadingModel, ...]:
-        return tuple(h for pair in self.branches for h in pair)
-
-    def with_mean_snr(self, mean_snr: float) -> "Selective":
-        return replace(self, branches=tuple(
-            (a.with_mean_snr(mean_snr), b.with_mean_snr(mean_snr))
-            for a, b in self.branches
-        ))
-
     def combine(self, draws: list[np.ndarray]) -> np.ndarray:
-        mins = [np.minimum(draws[2 * i], draws[2 * i + 1])
-                for i in range(len(self.branches))]
-        return np.maximum.reduce(mins)
+        return np.maximum.reduce(self._branch_minima(draws))
 
 
 @dataclass(frozen=True)
-class AllActive:
+class AllActive(_Branched):
     """Two-hop relay branches transmitting together; branch minima add."""
 
     branches: tuple[BranchPair, ...]
@@ -260,19 +289,8 @@ class AllActive:
             raise ValueError("grid_points too small to resolve a density")
         object.__setattr__(self, "branches", _intern_pairs(self.branches))
 
-    def flat_hops(self) -> tuple[FadingModel, ...]:
-        return tuple(h for pair in self.branches for h in pair)
-
-    def with_mean_snr(self, mean_snr: float) -> "AllActive":
-        return replace(self, branches=tuple(
-            (a.with_mean_snr(mean_snr), b.with_mean_snr(mean_snr))
-            for a, b in self.branches
-        ))
-
     def combine(self, draws: list[np.ndarray]) -> np.ndarray:
-        mins = [np.minimum(draws[2 * i], draws[2 * i + 1])
-                for i in range(len(self.branches))]
-        return np.add.reduce(mins)
+        return np.add.reduce(self._branch_minima(draws))
 
 
 Topology = Serial | Selective | AllActive
@@ -289,32 +307,9 @@ class EndToEndChannel:
 
     cdf: Callable
     pdf: Callable
-    sample: Callable[[np.random.Generator, int], np.ndarray]
     support_hint: float
     resolution_error: float = 0.0
     description: str = ""
-
-
-def _sample_serial(hops):
-    def sampler(rng, n):
-        return np.minimum.reduce([h.sample(rng, n) for h in hops])
-    return sampler
-
-
-def _sample_best_branch(branches):
-    def sampler(rng, n):
-        mins = [np.minimum(a.sample(rng, n), b.sample(rng, n))
-                for a, b in branches]
-        return np.maximum.reduce(mins)
-    return sampler
-
-
-def _sample_branch_sum(branches):
-    def sampler(rng, n):
-        mins = [np.minimum(a.sample(rng, n), b.sample(rng, n))
-                for a, b in branches]
-        return np.add.reduce(mins)
-    return sampler
 
 
 _SUPPORT_QUANTILE = 1.0 - 1e-6
@@ -332,8 +327,7 @@ def end_to_end(topology: Topology) -> EndToEndChannel:
         pdf = lambda t: serial_pdf(hops, t)
         hint = _support_hint(cdf, min(h.mean for h in hops))
         return EndToEndChannel(
-            cdf=cdf, pdf=pdf, sample=_sample_serial(hops),
-            support_hint=hint,
+            cdf=cdf, pdf=pdf, support_hint=hint,
             description=f"serial chain of {len(hops)} hop(s)",
         )
     if isinstance(topology, Selective):
@@ -342,8 +336,7 @@ def end_to_end(topology: Topology) -> EndToEndChannel:
         pdf = lambda t: selective_pdf(branches, t, formula=formula)
         hint = _support_hint(cdf, max(h.mean for h in topology.flat_hops()))
         return EndToEndChannel(
-            cdf=cdf, pdf=pdf, sample=_sample_best_branch(branches),
-            support_hint=hint,
+            cdf=cdf, pdf=pdf, support_hint=hint,
             description=(
                 f"best of {len(branches)} relay branch(es), {formula} form"
             ),
@@ -370,8 +363,7 @@ def _all_active_channel(topology: AllActive) -> EndToEndChannel:
         pdf = lambda t: branch_pdf(pair, t)
         hint = _support_hint(cdf, max(pair[0].mean, pair[1].mean))
         return EndToEndChannel(
-            cdf=cdf, pdf=pdf, sample=_sample_branch_sum(branches),
-            support_hint=hint,
+            cdf=cdf, pdf=pdf, support_hint=hint,
             description="single active branch (hop-pair minimum)",
         )
     k = topology.grid_points
@@ -425,8 +417,7 @@ def _all_active_channel(topology: AllActive) -> EndToEndChannel:
     hint = float(cum_edges[idx]) if cum[-1] > 0 else per_branch_cap
 
     return EndToEndChannel(
-        cdf=cdf, pdf=pdf, sample=_sample_branch_sum(branches),
-        support_hint=hint,
+        cdf=cdf, pdf=pdf, support_hint=hint,
         resolution_error=max(deficit, 0.0),
         description=(
             f"sum of {len(branches)} active branch(es) on a "

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +55,9 @@ GRIDFAIL = {
     "taus": [1.0],
     "mc": {"samples": 2000, "seed": 1},
 }
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -276,3 +280,23 @@ class TestProgrammaticHelpers:
                           {"name": "ora"}]}
         )
         assert [s.label for s in specs] == ["effective[delta=2]", "ora"]
+
+
+class TestShippedOutputs:
+    """CSV output of shipped configs, byte for byte.
+
+    A change to an evaluation path that is not meant to move numbers
+    must leave these files matching; the slower Malaga commands are left
+    out to keep the suite fast.
+    """
+
+    @pytest.mark.parametrize("command,config", [
+        ("outage-sweep", "fig1_serial2"),
+        ("outage-sweep", "fig1_selective3"),
+        ("outage-sweep", "fig3_dgg"),
+        ("opra-cutoff", "fig3_dgg"),
+    ])
+    def test_bytes_match_recording(self, command, config, capsys):
+        assert run([command, "--config", config]) == 0
+        want = (GOLDEN / f"{command}.{config}.csv").read_bytes()
+        assert capsys.readouterr().out.encode() == want

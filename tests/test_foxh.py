@@ -1,5 +1,6 @@
 """Contour evaluation against closed forms and an external gamma oracle."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -178,6 +179,62 @@ def gamma_like_params(draw):
         for _ in range(rows)
     )
     return HParams(m=rows, n=0, lower=lower)
+
+
+# dyadic scales and abscissae keep every row argument exact in floats,
+# so a non-positive integer argument lands exactly on the Gamma pole
+_DYADIC_SCALES = (0.5, 1.0, 1.5, 2.0)
+
+
+@st.composite
+def denominator_rows(draw):
+    """Kernel with one numerator row and 1..3 denominator rows.
+
+    Each denominator row is solved from the Gamma argument it should
+    have at the moment abscissa: positive, a negative non-integer
+    (sign -1 for an odd pole count) or a non-positive integer (1/Gamma
+    vanishes, so the moment is 0).
+    """
+    s0 = draw(st.integers(min_value=1, max_value=24)) / 8.0
+    b0 = draw(st.floats(min_value=0.1, max_value=3.0))
+    upper, lower = [], [(b0, draw(st.sampled_from(_DYADIC_SCALES)))]
+    args = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        z = draw(st.one_of(
+            st.floats(min_value=0.2, max_value=4.0),
+            st.builds(lambda k, f: -k - f, st.integers(0, 5),
+                      st.floats(min_value=0.05, max_value=0.95)),
+            st.integers(min_value=-5, max_value=0).map(float),
+        ))
+        scale = draw(st.sampled_from(_DYADIC_SCALES))
+        if draw(st.booleans()):
+            upper.append((z - scale * s0, scale))      # Gamma(a + A s)
+        else:
+            lower.append((1.0 - z - scale * s0, scale))  # Gamma(1 - b - B s)
+        args.append(z)
+    params = HParams(m=1, n=0, upper=tuple(upper), lower=tuple(lower))
+    return params, s0, args
+
+
+class TestMellinMomentOracle:
+    @given(denominator_rows(), st.floats(min_value=0.2, max_value=5.0),
+           st.floats(min_value=0.2, max_value=5.0))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_mpmath_gamma_ratio(self, case, kappa, delta):
+        params, s0, args = case
+        got = foxh.mellin_moment(params, kappa, delta, s0 - 1.0)
+        (b0, bb0), = params.lower[:1]
+        with mpmath.workdps(30):
+            want = (mpmath.mpf(kappa) * mpmath.mpf(delta) ** -s0
+                    * mpmath.gamma(mpmath.mpf(b0) + bb0 * s0))
+            for a, aa in params.upper:
+                want *= mpmath.rgamma(mpmath.mpf(a) + aa * s0)
+            for b, bb in params.lower[1:]:
+                want *= mpmath.rgamma(1 - mpmath.mpf(b) - bb * s0)
+        if any(z <= 0.0 and z == int(z) for z in args):
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(float(want), rel=1e-11)
 
 
 class TestContourSelection:

@@ -87,9 +87,10 @@ class TestSelective:
     def test_sampler_matches_law(self):
         branches = ((Exponential(1.0), Exponential(0.5)),
                     (Exponential(2.0), Exponential(1.0)))
-        ch = end_to_end(Selective(branches=branches))
+        topo = Selective(branches=branches)
+        ch = end_to_end(topo)
         rng = np.random.Generator(np.random.Philox(17))
-        draws = ch.sample(rng, 20_000)
+        draws = topo.combine([h.sample(rng, 20_000) for h in topo.flat_hops()])
         res = st.kstest(draws, lambda v: np.asarray(ch.cdf(v)))
         assert res.pvalue > 1e-3, res
 
@@ -124,9 +125,9 @@ class TestAllActive:
         assert "2 active branch(es)" in ch.description
 
     def test_sampler_matches_grid_law(self):
-        ch = end_to_end(self.two_branch())
+        topo = self.two_branch()
         rng = np.random.Generator(np.random.Philox(23))
-        draws = ch.sample(rng, 20_000)
+        draws = topo.combine([h.sample(rng, 20_000) for h in topo.flat_hops()])
         law = st.gamma(a=2, scale=0.5)
         res = st.kstest(draws, law.cdf)
         assert res.pvalue > 1e-3, res
@@ -154,6 +155,29 @@ class TestAllActive:
         ch = end_to_end(self.two_branch())
         assert float(ch.cdf(1e9)) == pytest.approx(1.0, abs=1e-12)
         assert float(ch.cdf(0.0)) == 0.0
+
+
+class TestHopEvaluations:
+    def test_shared_hop_evaluated_once_per_batch(self, monkeypatch):
+        hop = Exponential(1.0)
+        ch = end_to_end(Selective(branches=((hop, hop),) * 3))
+        calls = {"cdf": 0, "pdf": 0}
+
+        def counting(kind):
+            law = getattr(Exponential, kind)
+
+            def counted(self, gamma):
+                calls[kind] += 1
+                return law(self, gamma)
+            return counted
+
+        for kind in calls:
+            monkeypatch.setattr(Exponential, kind, counting(kind))
+        ch.pdf(TAUS)
+        assert calls == {"cdf": 1, "pdf": 1}
+        calls.update(cdf=0, pdf=0)
+        ch.cdf(TAUS)
+        assert calls == {"cdf": 1, "pdf": 0}
 
 
 class TestInterning:
