@@ -433,6 +433,24 @@ def opra(ch: EndToEndChannel,
 _POLICY_NAMES = ("cifr", "effective", "opra", "ora", "tcifr")
 
 
+def _check_policy_rules(name: str, qos_delta: float | None,
+                        prelog: float) -> None:
+    """Name, ``qos_delta`` and ``prelog`` rules shared by every policy
+    request; each caller adds its own cutoff rule."""
+    if name not in _POLICY_NAMES:
+        raise ValueError(
+            f"unknown policy {name!r}; expected one of "
+            f"{', '.join(_POLICY_NAMES)}"
+        )
+    if name == "effective":
+        if qos_delta is None:
+            raise ValueError("effective capacity needs qos_delta")
+        EffectiveCapacityParams(qos_delta)
+    elif qos_delta is not None:
+        raise ValueError(f"qos_delta does not apply to {name}")
+    PrelogFactor(prelog)
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     """One requested policy evaluation in a sweep.
@@ -448,23 +466,12 @@ class PolicySpec:
     prelog: float = 0.5
 
     def __post_init__(self):
-        if self.name not in _POLICY_NAMES:
-            raise ValueError(
-                f"unknown policy {self.name!r}; expected one of "
-                f"{', '.join(_POLICY_NAMES)}"
-            )
-        if self.name == "effective":
-            if self.qos_delta is None:
-                raise ValueError("effective capacity needs qos_delta")
-            EffectiveCapacityParams(self.qos_delta)
-        elif self.qos_delta is not None:
-            raise ValueError(f"qos_delta does not apply to {self.name}")
+        _check_policy_rules(self.name, self.qos_delta, self.prelog)
         if self.cutoff is not None:
             if self.name != "tcifr":
                 raise ValueError(f"cutoff does not apply to {self.name}")
             if not self.cutoff > 0.0:
                 raise ValueError("tcifr cutoff must be positive")
-        PrelogFactor(self.prelog)
 
     @property
     def label(self) -> str:

@@ -11,6 +11,7 @@ failure, 3 validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -242,7 +243,18 @@ def mc_from_config(cfg: dict, args) -> tuple[SimConfig, list[float] | None]:
 
 
 def _channel_factory(topology: Topology) -> Callable[[float], EndToEndChannel]:
-    return lambda mean: end_to_end(topology.with_mean_snr(mean))
+    """Map a per-hop mean SNR to the topology's end-to-end channel.
+
+    An all-active law is a convolution grid, built once at unit mean on
+    the first request and rescaled for every mean (see
+    ``EndToEndChannel.scaled``).  A failed build is not kept, so each
+    request raises again.  Serial and selective laws are lazy closures
+    with nothing built ahead to share.
+    """
+    if not isinstance(topology, AllActive):
+        return lambda mean: end_to_end(topology.with_mean_snr(mean))
+    unit = functools.cache(lambda: end_to_end(topology.with_mean_snr(1.0)))
+    return lambda mean: unit().scaled(mean)
 
 
 def _write(args, cfg: dict, text: str) -> None:

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .capacity import _POLICY_NAMES, PolicySpec
+from .capacity import PolicySpec, _check_policy_rules
 from .errors import InsufficientSamples
 from .topology import Topology
 
@@ -62,18 +62,7 @@ class PolicyRequest:
     cutoff: float | None = None
 
     def __post_init__(self):
-        if self.name not in _POLICY_NAMES:
-            raise ValueError(
-                f"unknown policy {self.name!r}; expected one of "
-                f"{', '.join(_POLICY_NAMES)}"
-            )
-        if not 0.0 < self.prelog <= 1.0:
-            raise ValueError(f"prelog must lie in (0, 1], got {self.prelog}")
-        if self.name == "effective":
-            if self.qos_delta is None or not self.qos_delta > 0.0:
-                raise ValueError("effective capacity needs qos_delta > 0")
-        elif self.qos_delta is not None:
-            raise ValueError(f"qos_delta does not apply to {self.name}")
+        _check_policy_rules(self.name, self.qos_delta, self.prelog)
         if self.name in ("opra", "tcifr"):
             if self.cutoff is None or not self.cutoff > 0.0:
                 raise ValueError(f"{self.name} needs a positive cutoff")

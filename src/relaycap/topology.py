@@ -311,6 +311,21 @@ class EndToEndChannel:
     resolution_error: float = 0.0
     description: str = ""
 
+    def scaled(self, factor: float) -> "EndToEndChannel":
+        """Law of ``factor * X`` for this channel's SNR ``X``.
+
+        Every catalog law is a scale family in its mean SNR, so a law
+        built at unit mean serves mean ``factor`` exactly this way; the
+        grid's lost mass does not depend on the scale.
+        """
+        cdf, pdf = self.cdf, self.pdf
+        return replace(
+            self,
+            cdf=lambda t: _apply(t, lambda x: cdf(x / factor)),
+            pdf=lambda t: _apply(t, lambda x: pdf(x / factor) / factor),
+            support_hint=self.support_hint * factor,
+        )
+
 
 _SUPPORT_QUANTILE = 1.0 - 1e-6
 

@@ -10,6 +10,10 @@ The capacity checks share one evaluation matrix: every catalog family
 under each of the three topologies at mean SNRs of 0, 10, 20 and
 30 dB (108 channel points).  Building it takes about a minute, so it
 is a module-scoped fixture.
+
+One unnumbered check rides along: each family of the matrix is a scale
+family in mean SNR, which the CLI relies on when it rescales one
+unit-mean all-active grid law to every SNR point.
 """
 
 import math
@@ -65,6 +69,20 @@ MODELS = {
 }
 
 SNRS_DB = (0.0, 10.0, 20.0, 30.0)
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+@pytest.mark.parametrize("gamma", (10.0 ** 0.5, 100.0, 1000.0))
+def test_mean_snr_is_a_scale_parameter(family, gamma):
+    """X at mean gamma has the law of gamma * X at unit mean."""
+    unit = MODELS[family].with_mean_snr(1.0)
+    model = MODELS[family].with_mean_snr(gamma)
+    t = gamma * np.logspace(-2.0, np.log10(20.0), 25)
+    np.testing.assert_allclose(model.cdf(t), unit.cdf(t / gamma),
+                               rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(model.pdf(t), unit.pdf(t / gamma) / gamma,
+                               rtol=1e-10, atol=0.0)
+
 
 # Three parameter sets per family for the normalization sweep; the
 # first set of each optical family is the shipped sweep configuration.

@@ -4,9 +4,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from relaycap import cli
+from relaycap import cli, topology
 from relaycap.errors import ConfigError
 
 # Exp(1), prelog 1/2 closed forms (see test_capacity.py)
@@ -56,6 +57,20 @@ GRIDFAIL = {
     "mc": {"samples": 2000, "seed": 1},
 }
 
+
+# two branches of two Exp hops on a small grid, three SNR points
+ALLACTIVE = {
+    "topology": {
+        "kind": "all_active",
+        "relays": 2,
+        "hop": {"family": "exponential"},
+        "grid_points": 4096,
+    },
+    "policies": [{"name": "ora"}],
+    "snr_grid_db": [0.0, 10.0, 20.0],
+    "taus": [0.1, 1.0, 10.0],
+    "mc": {"samples": 20000, "seed": 5},
+}
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -251,6 +266,59 @@ class TestValidate:
         assert "numerical failure" in capsys.readouterr().err
 
 
+class TestAllActiveSweep:
+    """A command builds the all-active grid once, at unit mean."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        build = topology._all_active_channel
+
+        def counted(topo):
+            built.append(topo)
+            return build(topo)
+
+        monkeypatch.setattr(topology, "_all_active_channel", counted)
+        return built
+
+    @pytest.mark.parametrize("command", [
+        "capacity-sweep", "opra-cutoff", "outage-sweep", "validate",
+    ])
+    def test_grid_built_once_per_command(self, command, builds, tmp_path):
+        assert run([command, "--config",
+                    write_config(tmp_path, ALLACTIVE)]) == 0
+        assert len(builds) == 1
+
+    def test_rescaled_law_matches_fresh_build(self):
+        topo = cli.topology_from_config(ALLACTIVE["topology"])
+        factory = cli._channel_factory(topo)
+        for snr_db in ALLACTIVE["snr_grid_db"]:
+            mean = 10.0 ** (snr_db / 10.0)
+            fresh = topology.end_to_end(topo.with_mean_snr(mean))
+            got = factory(mean)
+            ts = np.linspace(0.0, fresh.support_hint, 257)
+            assert np.max(np.abs(got.cdf(ts) - fresh.cdf(ts))) \
+                <= topo.mass_tol
+            assert got.resolution_error == pytest.approx(
+                fresh.resolution_error, abs=topo.mass_tol)
+            assert got.support_hint == pytest.approx(
+                fresh.support_hint, rel=1e-3)
+
+    def test_failed_build_fails_every_snr_point(self, builds, tmp_path,
+                                                capsys):
+        cfg = json.loads(json.dumps(GRIDFAIL))
+        cfg["snr_grid_db"] = [0.0, 10.0, 20.0]
+        assert run(["capacity-sweep", "--config",
+                    write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("capacity-sweep failed at") == 3
+        assert "snr_db=20" in err and err.count("grid_points") == 3
+        assert len(builds) == 3
+        assert run(["outage-sweep", "--config",
+                    write_config(tmp_path, cfg)]) == 2
+        assert "outage-sweep failed at snr_db=0" in capsys.readouterr().err
+
+
 class TestHelp:
     def test_top_level_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -287,7 +355,7 @@ class TestShippedOutputs:
 
     A change to an evaluation path that is not meant to move numbers
     must leave these files matching; the slower Malaga commands are left
-    out to keep the suite fast.
+    out to keep the suite fast, except the all-active outage sweep below.
     """
 
     @pytest.mark.parametrize("command,config", [
@@ -300,3 +368,30 @@ class TestShippedOutputs:
         assert run([command, "--config", config]) == 0
         want = (GOLDEN / f"{command}.{config}.csv").read_bytes()
         assert capsys.readouterr().out.encode() == want
+
+    def test_fig2_malaga_outage_within_grid_tolerance(self, capsys):
+        # The grid law is rescaled from unit mean, which moves the last
+        # printed digit, so rows are compared by the grid's mass
+        # tolerance, 1e-8 relative and the print rounding of both sides.
+        assert run(["outage-sweep", "--config", "fig2_malaga"]) == 0
+        got = capsys.readouterr().out.splitlines()
+        want = (GOLDEN / "outage-sweep.fig2_malaga.csv").read_text(
+            ).splitlines()
+        assert got[0] == want[0] and len(got) == len(want)
+        mass_tol = cli.topology_from_config(
+            cli.load_config("fig2_malaga")["topology"]).mass_tol
+        for new, ref in zip(got[1:], want[1:]):
+            key_new, p_new = new.rsplit(",", 1)
+            key_ref, p_ref = ref.rsplit(",", 1)
+            assert key_new == key_ref
+            p_new, p_ref = float(p_new), float(p_ref)
+            allowed = (mass_tol + 1e-8 * abs(p_ref)
+                       + _print_rounding(p_new) + _print_rounding(p_ref))
+            assert abs(p_new - p_ref) <= allowed, (new, ref)
+
+
+def _print_rounding(v: float) -> float:
+    """Half a unit in the 9th significant digit of a printed value."""
+    if v == 0.0:
+        return 0.0
+    return 0.5 * 10.0 ** (math.floor(math.log10(abs(v))) - 8)

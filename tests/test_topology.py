@@ -157,6 +157,33 @@ class TestAllActive:
         assert float(ch.cdf(0.0)) == 0.0
 
 
+class TestScaledChannel:
+    def test_scaled_chain_is_the_chain_at_that_mean(self):
+        chain = Serial(hops=(Exponential(1.0), Exponential(1.0)))
+        unit = end_to_end(chain)
+        got = unit.scaled(10.0)
+        want = end_to_end(chain.with_mean_snr(10.0))
+        np.testing.assert_allclose(got.cdf(TAUS), want.cdf(TAUS),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(got.pdf(TAUS), want.pdf(TAUS),
+                                   rtol=1e-12)
+        assert isinstance(got.cdf(1.0), float)
+        assert got.cdf(1.0) == pytest.approx(unit.cdf(0.1), rel=1e-15)
+        assert got.pdf(1.0) == pytest.approx(unit.pdf(0.1) / 10.0,
+                                             rel=1e-15)
+        assert got.support_hint == 10.0 * unit.support_hint
+        assert got.resolution_error == unit.resolution_error
+        assert got.description == unit.description
+
+    def test_scaled_grid_keeps_its_lost_mass(self):
+        unit = end_to_end(TestAllActive().two_branch())
+        got = unit.scaled(100.0)
+        assert got.resolution_error == unit.resolution_error > 0.0
+        grid = np.array([[0.5, 1.0], [2.0, 4.0]])
+        np.testing.assert_array_equal(got.cdf(100.0 * grid), unit.cdf(grid))
+        assert got.cdf(100.0 * grid).shape == grid.shape
+
+
 class TestHopEvaluations:
     def test_shared_hop_evaluated_once_per_batch(self, monkeypatch):
         hop = Exponential(1.0)
