@@ -24,7 +24,7 @@ import numpy as np
 from . import capacity
 from .capacity import PolicySpec
 from .errors import ConfigError, RelayCapError
-from .fading import model_from_config
+from .fading import FAMILIES, FadingModel, model_from_config
 from .montecarlo import PolicyRequest, SimConfig, simulate
 from .topology import (
     AllActive, EndToEndChannel, Selective, Serial, Topology, end_to_end,
@@ -68,7 +68,8 @@ hop model mappings carry "family" plus the family's parameters, e.g.
 Families: exponential, gamma, weibull, generalized_gamma,
 weibull_gamma, gamma_gamma, double_generalized_gamma, malaga,
 generic_h.  Per-hop mean SNR is set by the sweep grid as
-10^(snr_db/10), uniformly across hops.
+10^(snr_db/10), uniformly across hops; a hop mapping that sets its
+family's mean (mean_snr, mean_power or mean_irradiance) is an error.
 """
 
 
@@ -106,6 +107,16 @@ def load_config(ref: str) -> dict:
     return cfg
 
 
+def _hop_from_config(spec: dict) -> FadingModel:
+    """A hop model whose mean is left to the sweep grid."""
+    cls = FAMILIES.get(spec.get("family")) if isinstance(spec, dict) else None
+    if cls is not None and cls._MEAN in spec:
+        raise ConfigError(
+            f"hop model sets {cls._MEAN!r}; snr_grid_db sets the per-hop mean"
+        )
+    return model_from_config(spec)
+
+
 def topology_from_config(block: dict) -> Topology:
     _check_keys(block, {"kind", "hops", "branches", "relays", "hop",
                         "formula", "grid_points", "mass_tol"}, "topology")
@@ -139,7 +150,7 @@ def topology_from_config(block: dict) -> Topology:
         relays = block["relays"]
         if not isinstance(relays, int) or relays < 1:
             raise ConfigError("relays must be a positive integer")
-        hop = model_from_config(block["hop"])
+        hop = _hop_from_config(block["hop"])
         if kind == "serial":
             hops = tuple([hop] * (relays + 1))
         else:
@@ -148,7 +159,7 @@ def topology_from_config(block: dict) -> Topology:
         raw = block["hops"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("topology.hops must be a nonempty list")
-        hops = tuple(model_from_config(h) for h in raw)
+        hops = tuple(_hop_from_config(h) for h in raw)
     else:
         raw = block["branches"]
         if not isinstance(raw, list) or not raw:
@@ -159,8 +170,8 @@ def topology_from_config(block: dict) -> Topology:
                 raise ConfigError(
                     f"branch {i} must be a [model, model] pair"
                 )
-            branches.append((model_from_config(pair[0]),
-                             model_from_config(pair[1])))
+            branches.append((_hop_from_config(pair[0]),
+                             _hop_from_config(pair[1])))
         branches = tuple(branches)
 
     try:
@@ -191,6 +202,10 @@ def policies_from_config(cfg: dict) -> list[PolicySpec]:
             raise ConfigError(f"policies[{i}] needs a 'name'")
         try:
             specs.append(PolicySpec(**block))
+        except TypeError as exc:
+            raise ConfigError(
+                f"policies[{i}]: qos_delta, cutoff and prelog must be numbers"
+            ) from exc
         except ValueError as exc:
             raise ConfigError(f"policies[{i}]: {exc}") from exc
     return specs
@@ -235,7 +250,10 @@ def mc_from_config(cfg: dict, args) -> tuple[SimConfig, list[float] | None]:
     if snr is not None:
         if not isinstance(snr, list) or not snr:
             raise ConfigError("mc.snr_db must be a nonempty list")
-        snr = [float(v) for v in snr]
+        try:
+            snr = [float(v) for v in snr]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("mc.snr_db must contain numbers") from exc
     try:
         return SimConfig(samples=int(samples), seed=int(seed)), snr
     except (TypeError, ValueError) as exc:

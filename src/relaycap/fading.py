@@ -2,32 +2,34 @@
 
 Every model exposes the same surface: ``pdf``, ``cdf``, ``sample``,
 ``with_mean_snr`` and a ``mean`` property equal to E[gamma].  pdf/cdf
-accept scalars or numpy arrays.  ``to_h`` returns the H-function
-density of Exponential, Gamma, Weibull, GeneralizedGamma and
-GammaGamma; the other families raise ``UnsupportedHForm``.
-GammaGamma, Malaga and GenericH evaluate pdf/cdf through one H kernel
-in :mod:`.foxh`; the samplers are built from the constitutive
-random-variable recipes instead, so Monte Carlo stays an independent
-route end to end.
+accept scalars or numpy arrays and are 0 for gamma <= 0.  ``to_h``
+returns the density kappa * H(delta * gamma) of Exponential, Gamma,
+Weibull, GeneralizedGamma and GammaGamma; the other families raise
+``UnsupportedHForm``.  GammaGamma, Malaga and GenericH evaluate pdf/cdf
+through one H kernel in :mod:`.foxh`; the samplers are built from the
+constitutive random-variable recipes instead, so Monte Carlo stays an
+independent route end to end.
 
-Total probability of each distinct shape is checked once, at first
-construction, by an adaptive quadrature that does not share code with
-the analytic kernels.
+Each family declares once which fields must be positive
+(``_POSITIVE``) and which field is its mean (``_MEAN``); the mean only
+rescales the law, every other field sets its shape.  Total probability
+of each distinct shape is checked once, at first construction, by an
+adaptive quadrature that does not share code with the analytic kernels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 from scipy import special as sp
 
 from . import foxh
-from .errors import NormalizationError, UnsupportedHForm
+from .errors import ConfigError, NormalizationError, UnsupportedHForm
 from .foxh import ContourSpec, HParams
-from .quadrature import integrate_semi_infinite
+from .quadrature import integrate_semi_infinite, quantile_search
 
 _NORM_TOL = 1e-6
 _norm_checked: dict[tuple, bool] = {}
@@ -42,42 +44,41 @@ def _apply(g, fn):
     return np.asarray(out).reshape(arr.shape)
 
 
+def _positive_part(gamma, fn):
+    """``_apply`` of ``fn`` to the entries gamma > 0; 0 elsewhere."""
+    def f(g):
+        out = np.zeros_like(g)
+        pos = g > 0
+        out[pos] = fn(g[pos])
+        return out
+
+    return _apply(gamma, f)
+
+
 @dataclass(frozen=True)
 class HRepresentation:
-    """Density written as kappa * gamma^gamma_power * H(delta * gamma).
-
-    ``gamma_power`` keeps catalog rows that carry a bare 1/gamma factor
-    outside the H kernel representable without rewriting them;
-    :meth:`canonical` absorbs the power into the kernel rows.
-    """
+    """Density written as kappa * H(delta * gamma)."""
 
     kappa: float
     delta: float
     params: HParams
-    gamma_power: float = 0.0
-
-    def canonical(self) -> "HRepresentation":
-        """Equivalent representation with gamma_power = 0."""
-        s = self.gamma_power
-        if s == 0.0:
-            return self
-        upper = tuple((a + s * aa, aa) for a, aa in self.params.upper)
-        lower = tuple((b + s * bb, bb) for b, bb in self.params.lower)
-        return HRepresentation(
-            kappa=self.kappa * self.delta ** (-s),
-            delta=self.delta,
-            params=HParams(m=self.params.m, n=self.params.n,
-                           upper=upper, lower=lower),
-            gamma_power=0.0,
-        )
 
 
 class FadingModel:
-    """Shared checks for the concrete per-hop models.
+    """Construction check, mean scaling and shape key of every model.
 
-    ``with_mean_snr`` and ``mean`` serve the families that scale through
-    a ``mean_snr`` field; the others override both.
+    ``_POSITIVE`` names the fields that must be positive finite numbers
+    and ``_MEAN`` the field equal to E[gamma]; the other init fields
+    make up the shape, whose normalization is checked once.
     """
+
+    _POSITIVE: tuple[str, ...] = ()
+    _MEAN: str | None = "mean_snr"
+
+    def __post_init__(self):
+        for name in self._POSITIVE:
+            _positive(name, getattr(self, name))
+        self._verify_normalized()
 
     def pdf(self, gamma):
         raise NotImplementedError
@@ -93,14 +94,16 @@ class FadingModel:
             f"{type(self).__name__} exposes no single H-function density")
 
     def with_mean_snr(self, mean_snr: float) -> "FadingModel":
-        return replace(self, mean_snr=mean_snr)
+        return replace(self, **{self._MEAN: mean_snr})
 
     @property
     def mean(self) -> float:
-        return self.mean_snr
+        return getattr(self, self._MEAN)
 
     def _shape_key(self) -> tuple:
-        raise NotImplementedError
+        return (type(self).__name__,) + tuple(
+            getattr(self, f.name) for f in fields(self)
+            if f.init and f.name != self._MEAN)
 
     def _verify_normalized(self) -> None:
         """Quadrature check of total probability, once per shape."""
@@ -109,12 +112,17 @@ class FadingModel:
             return
         _norm_checked[key] = False  # re-entrancy guard for the unit copy
         try:
+            deficit = getattr(self, "series_tail", 0.0)
+            if deficit > _NORM_TOL:
+                raise NormalizationError(
+                    f"series truncation leaves {deficit:.2e} probability "
+                    f"mass; raise series_terms above {self.series_terms}"
+                )
             unit = self.with_mean_snr(1.0)
             total, err = integrate_semi_infinite(
                 lambda g: unit.pdf(g), scale=0.5,
                 rel_tol=1e-9, abs_tol=1e-12,
             )
-            deficit = getattr(unit, "series_tail", 0.0)
             if abs(total + deficit - 1.0) > max(_NORM_TOL, 10.0 * err):
                 raise NormalizationError(
                     f"{type(self).__name__} density integrates to {total!r} "
@@ -137,31 +145,15 @@ class Exponential(FadingModel):
 
     mean_snr: float = 1.0
 
-    def __post_init__(self):
-        _positive("mean_snr", self.mean_snr)
-        self._verify_normalized()
+    _POSITIVE = ("mean_snr",)
 
     def pdf(self, gamma):
         r = 1.0 / self.mean_snr
-
-        def f(g):
-            out = np.zeros_like(g)
-            pos = g >= 0
-            out[pos] = r * np.exp(-r * g[pos])
-            return out
-
-        return _apply(gamma, f)
+        return _positive_part(gamma, lambda g: r * np.exp(-r * g))
 
     def cdf(self, gamma):
         r = 1.0 / self.mean_snr
-
-        def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            out[pos] = -np.expm1(-r * g[pos])
-            return out
-
-        return _apply(gamma, f)
+        return _positive_part(gamma, lambda g: -np.expm1(-r * g))
 
     def sample(self, rng, n):
         return rng.exponential(self.mean_snr, n)
@@ -173,9 +165,6 @@ class Exponential(FadingModel):
             params=HParams(m=1, n=0, lower=((0.0, 1.0),)),
         )
 
-    def _shape_key(self):
-        return ("exponential",)
-
 
 @dataclass(frozen=True)
 class Gamma(FadingModel):
@@ -184,29 +173,18 @@ class Gamma(FadingModel):
     shape: float
     mean_snr: float = 1.0
 
-    def __post_init__(self):
-        _positive("shape", self.shape)
-        _positive("mean_snr", self.mean_snr)
-        self._verify_normalized()
+    _POSITIVE = ("shape", "mean_snr")
 
     def pdf(self, gamma):
         m, rate = self.shape, self.shape / self.mean_snr
-
-        def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            gp = g[pos]
-            out[pos] = np.exp(
-                m * np.log(rate) + (m - 1.0) * np.log(gp) - rate * gp
-                - sp.gammaln(m)
-            )
-            return out
-
-        return _apply(gamma, f)
+        return _positive_part(gamma, lambda g: np.exp(
+            m * np.log(rate) + (m - 1.0) * np.log(g) - rate * g
+            - sp.gammaln(m)
+        ))
 
     def cdf(self, gamma):
         m, rate = self.shape, self.shape / self.mean_snr
-        return _apply(gamma, lambda g: np.where(g > 0, sp.gammainc(m, rate * np.maximum(g, 0.0)), 0.0))
+        return _positive_part(gamma, lambda g: sp.gammainc(m, rate * g))
 
     def sample(self, rng, n):
         return rng.gamma(self.shape, self.mean_snr / self.shape, n)
@@ -217,9 +195,6 @@ class Gamma(FadingModel):
             kappa=rate / math.gamma(m), delta=rate,
             params=HParams(m=1, n=0, lower=((m - 1.0, 1.0),)),
         )
-
-    def _shape_key(self):
-        return ("gamma", self.shape)
 
 
 @dataclass(frozen=True)
@@ -232,10 +207,7 @@ class Weibull(FadingModel):
     shape: float
     mean_snr: float = 1.0
 
-    def __post_init__(self):
-        _positive("shape", self.shape)
-        _positive("mean_snr", self.mean_snr)
-        self._verify_normalized()
+    _POSITIVE = ("shape", "mean_snr")
 
     @property
     def _scale(self) -> float:
@@ -245,18 +217,14 @@ class Weibull(FadingModel):
         k, lam = self.shape, self._scale
 
         def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            z = g[pos] / lam
-            out[pos] = (k / lam) * z ** (k - 1.0) * np.exp(-(z ** k))
-            return out
+            z = g / lam
+            return (k / lam) * z ** (k - 1.0) * np.exp(-(z ** k))
 
-        return _apply(gamma, f)
+        return _positive_part(gamma, f)
 
     def cdf(self, gamma):
         k, lam = self.shape, self._scale
-        return _apply(gamma, lambda g: np.where(
-            g > 0, -np.expm1(-((np.maximum(g, 0.0) / lam) ** k)), 0.0))
+        return _positive_part(gamma, lambda g: -np.expm1(-((g / lam) ** k)))
 
     def sample(self, rng, n):
         return self._scale * rng.weibull(self.shape, n)
@@ -269,8 +237,13 @@ class Weibull(FadingModel):
             params=HParams(m=1, n=0, lower=((1.0 - 1.0 / k, 1.0 / k),)),
         )
 
-    def _shape_key(self):
-        return ("weibull", self.shape)
+
+def _gen_gamma_pdf(x: np.ndarray, shape: float, power: float,
+                   scale: float) -> np.ndarray:
+    """Density of scale * G**(1/power), G ~ Gamma(shape, 1), at x > 0."""
+    z = x / scale
+    return np.exp((shape * power - 1.0) * np.log(z) - z ** power
+                  - sp.gammaln(shape)) * power / scale
 
 
 @dataclass(frozen=True)
@@ -285,11 +258,7 @@ class GeneralizedGamma(FadingModel):
     power: float
     mean_snr: float = 1.0
 
-    def __post_init__(self):
-        _positive("shape", self.shape)
-        _positive("power", self.power)
-        _positive("mean_snr", self.mean_snr)
-        self._verify_normalized()
+    _POSITIVE = ("shape", "power", "mean_snr")
 
     @property
     def _scale(self) -> float:
@@ -299,23 +268,11 @@ class GeneralizedGamma(FadingModel):
 
     def pdf(self, gamma):
         m, xi, a = self.shape, self.power, self._scale
-
-        def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            z = g[pos] / a
-            out[pos] = np.exp(
-                np.log(xi / a) + (m * xi - 1.0) * np.log(z) - z ** xi
-                - sp.gammaln(m)
-            )
-            return out
-
-        return _apply(gamma, f)
+        return _positive_part(gamma, lambda g: _gen_gamma_pdf(g, m, xi, a))
 
     def cdf(self, gamma):
         m, xi, a = self.shape, self.power, self._scale
-        return _apply(gamma, lambda g: np.where(
-            g > 0, sp.gammainc(m, (np.maximum(g, 0.0) / a) ** xi), 0.0))
+        return _positive_part(gamma, lambda g: sp.gammainc(m, (g / a) ** xi))
 
     def sample(self, rng, n):
         return self._scale * rng.gamma(self.shape, 1.0, n) ** (1.0 / self.power)
@@ -328,21 +285,20 @@ class GeneralizedGamma(FadingModel):
             params=HParams(m=1, n=0, lower=((m - 1.0 / xi, 1.0 / xi),)),
         )
 
-    def _shape_key(self):
-        return ("generalized_gamma", self.shape, self.power)
 
-
-def _log_gl_grid(lo: float, hi: float, panels: int = 40, order: int = 10):
-    """Composite Gauss-Legendre nodes/weights for integrals over [lo, hi]
-    taken in log space, returned in the original coordinates."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(math.log(lo), math.log(hi), panels + 1)
+def _gen_gamma_grid(shape: float, power: float, scale: float):
+    """Log-space Gauss-Legendre mixing grid (48 panels of order 10) of
+    scale * G**(1/power), G ~ Gamma(shape, 1), between its 1e-12 and
+    1 - 1e-13 quantiles, with the density folded into the weights."""
+    lo = scale * sp.gammaincinv(shape, 1e-12) ** (1.0 / power)
+    hi = scale * sp.gammainccinv(shape, 1e-13) ** (1.0 / power)
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    edges = np.linspace(math.log(lo), math.log(hi), 48 + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
-    v = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
-    u = np.exp(v)
-    return u, w * u
+    u = np.exp((mid[:, None] + half[:, None] * gx[None, :]).ravel())
+    w = (half[:, None] * gw[None, :]).ravel() * u
+    return u, w * _gen_gamma_pdf(u, shape, power, scale)
 
 
 @dataclass(frozen=True)
@@ -360,22 +316,13 @@ class WeibullGamma(FadingModel):
     gamma_shape: float
     mean_power: float = 1.0
 
-    def __post_init__(self):
-        _positive("weibull_shape", self.weibull_shape)
-        _positive("gamma_shape", self.gamma_shape)
-        _positive("mean_power", self.mean_power)
-        self._verify_normalized()
+    _POSITIVE = ("weibull_shape", "gamma_shape", "mean_power")
+    _MEAN = "mean_power"
 
     @cached_property
     def _shadow_grid(self):
         a = self.gamma_shape
-        scale = self.mean_power / a
-        lo = scale * sp.gammaincinv(a, 1e-12)
-        hi = scale * sp.gammainccinv(a, 1e-13)
-        u, w = _log_gl_grid(lo, hi, panels=48, order=10)
-        dens = np.exp((a - 1.0) * np.log(u / scale) - u / scale
-                      - sp.gammaln(a)) / scale
-        return u, w * dens
+        return _gen_gamma_grid(a, 1.0, self.mean_power / a)
 
     def _conditional_scale(self, s: np.ndarray) -> np.ndarray:
         return s / math.gamma(1.0 + 1.0 / self.weibull_shape)
@@ -386,29 +333,17 @@ class WeibullGamma(FadingModel):
         lam = self._conditional_scale(s)
 
         def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            z = g[pos, None] / lam[None, :]
-            cond = (k / lam[None, :]) * z ** (k - 1.0) * np.exp(-(z ** k))
-            out[pos] = cond @ w
-            return out
+            z = g[:, None] / lam[None, :]
+            return ((k / lam[None, :]) * z ** (k - 1.0) * np.exp(-(z ** k))) @ w
 
-        return _apply(gamma, f)
+        return _positive_part(gamma, f)
 
     def cdf(self, gamma):
         k = self.weibull_shape
         s, w = self._shadow_grid
         lam = self._conditional_scale(s)
-
-        def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            z = g[pos, None] / lam[None, :]
-            cond = -np.expm1(-(z ** k))
-            out[pos] = cond @ w
-            return out
-
-        return _apply(gamma, f)
+        return _positive_part(
+            gamma, lambda g: -np.expm1(-((g[:, None] / lam[None, :]) ** k)) @ w)
 
     def sample(self, rng, n):
         s = rng.gamma(self.gamma_shape, self.mean_power / self.gamma_shape, n)
@@ -420,23 +355,13 @@ class WeibullGamma(FadingModel):
             "use the quadrature pdf/cdf or the sampler"
         )
 
-    def with_mean_snr(self, mean_snr):
-        return replace(self, mean_power=mean_snr)
-
-    @property
-    def mean(self):
-        return self.mean_power
-
-    def _shape_key(self):
-        return ("weibull_gamma", self.weibull_shape, self.gamma_shape)
-
 
 class _HKernel(FadingModel):
     """pdf/cdf of a density kappa * H(delta * gamma) through :mod:`.foxh`.
 
-    Subclasses supply ``_canon``, the representation with gamma_power 0.
-    Malaga, whose kernel is a fused series without a parameter block,
-    supplies ``_kappa_delta``, ``_theta`` and both contours instead.
+    Subclasses supply ``_canon``, that representation.  Malaga, whose
+    kernel is a fused series without a parameter block, supplies
+    ``_kappa_delta``, ``_theta`` and both contours instead.
     """
 
     @property
@@ -460,30 +385,21 @@ class _HKernel(FadingModel):
         kappa, delta = self._kappa_delta
 
         def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            v, _ = foxh.mellin_barnes(
-                self._theta, self._pdf_contour, delta * g[pos]
-            )
-            out[pos] = kappa * v
-            return np.maximum(out, 0.0)
+            v, _ = foxh.mellin_barnes(self._theta, self._pdf_contour, delta * g)
+            return np.maximum(kappa * v, 0.0)
 
-        return _apply(gamma, f)
+        return _positive_part(gamma, f)
 
     def cdf(self, gamma):
         kappa, delta = self._kappa_delta
 
         def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
             v, _ = foxh.mellin_barnes(
-                self._theta, self._cdf_contour, delta * g[pos],
-                weight_power=0.0,
+                self._theta, self._cdf_contour, delta * g, weight_power=0.0,
             )
-            out[pos] = self._cdf_from_kernel(v, kappa, delta)
-            return np.clip(out, 0.0, 1.0)
+            return np.clip(self._cdf_from_kernel(v, kappa, delta), 0.0, 1.0)
 
-        return _apply(gamma, f)
+        return _positive_part(gamma, f)
 
     def _cdf_from_kernel(self, v, kappa, delta):
         return kappa / delta * v
@@ -505,24 +421,23 @@ class GammaGamma(_HKernel):
     xi: float
     detection_order: int = 1
     mean_snr: float = 1.0
-    pointing_h: float = field(init=False, repr=False)
-    mu_r: float = field(init=False, repr=False)
+
+    _POSITIVE = ("alpha", "beta", "xi", "mean_snr")
 
     def __post_init__(self):
-        _positive("alpha", self.alpha)
-        _positive("beta", self.beta)
-        _positive("xi", self.xi)
-        _positive("mean_snr", self.mean_snr)
         if self.detection_order not in (1, 2):
             raise ValueError("detection_order must be 1 or 2")
+        super().__post_init__()
+
+    @property
+    def pointing_h(self) -> float:
         x2 = self.xi ** 2
-        object.__setattr__(self, "pointing_h", x2 / (x2 + 1.0))
+        return x2 / (x2 + 1.0)
+
+    @property
+    def mu_r(self) -> float:
         r = float(self.detection_order)
-        object.__setattr__(
-            self, "mu_r",
-            self.mean_snr * self.pointing_h ** r / self._moment_irradiance(r),
-        )
-        self._verify_normalized()
+        return self.mean_snr * self.pointing_h ** r / self._moment_irradiance(r)
 
     def _moment_irradiance(self, r: float) -> float:
         """E[I**r] of the constitutive irradiance."""
@@ -534,23 +449,23 @@ class GammaGamma(_HKernel):
         return m_ia * x2 / (x2 + r)
 
     def to_h(self) -> HRepresentation:
+        # kappa * gamma^-1 * H(delta * gamma) with the 1/gamma folded in
         a, b, x2 = self.alpha, self.beta, self.xi ** 2
         r = float(self.detection_order)
         delta = (self.pointing_h * a * b) ** r / self.mu_r
         kappa = x2 / math.exp(sp.gammaln(a) + sp.gammaln(b))
         return HRepresentation(
-            kappa=kappa, delta=delta,
+            kappa=kappa * delta, delta=delta,
             params=HParams(
                 m=3, n=0,
-                upper=((x2 + 1.0, r),),
-                lower=((x2, r), (a, r), (b, r)),
+                upper=((x2 + 1.0 - r, r),),
+                lower=((x2 - r, r), (a - r, r), (b - r, r)),
             ),
-            gamma_power=-1.0,
         )
 
     @cached_property
     def _canon(self) -> HRepresentation:
-        return self.to_h().canonical()
+        return self.to_h()
 
     def sample(self, rng, n):
         a, b, x2 = self.alpha, self.beta, self.xi ** 2
@@ -560,20 +475,16 @@ class GammaGamma(_HKernel):
         r = float(self.detection_order)
         return self.mean_snr * irr ** r / self._moment_irradiance(r)
 
-    def _shape_key(self):
-        return ("gamma_gamma", self.alpha, self.beta, self.xi,
-                self.detection_order)
-
 
 @dataclass(frozen=True)
 class DoubleGeneralizedGamma(FadingModel):
     """Product of two generalized-Gamma irradiance factors.
 
-    I = path_loss * I1 * I2 with I_i generalized-Gamma (alpha_i, m_i,
-    omega_i); gamma = mean_snr * I**r / E[I**r], so the deterministic
-    path loss cancels and is kept only for interface completeness.
-    pdf/cdf integrate one factor against the other over a fixed
-    log-space grid; the sampler multiplies constitutive draws.
+    I = I1 * I2 with I_i generalized-Gamma (alpha_i, m_i, omega_i);
+    gamma = mean_snr * I**r / E[I**r], so a deterministic path loss
+    would cancel and none is taken.  pdf/cdf integrate one factor
+    against the other over a fixed log-space grid; the sampler
+    multiplies constitutive draws.
     """
 
     alpha1: float
@@ -584,15 +495,14 @@ class DoubleGeneralizedGamma(FadingModel):
     omega2: float = 1.0
     detection_order: int = 1
     mean_snr: float = 1.0
-    path_loss: float = 1.0
+
+    _POSITIVE = ("alpha1", "alpha2", "m1", "m2", "omega1", "omega2",
+                 "mean_snr")
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha2", "m1", "m2", "omega1", "omega2",
-                     "path_loss", "mean_snr"):
-            _positive(name, getattr(self, name))
         if self.detection_order not in (1, 2):
             raise ValueError("detection_order must be 1 or 2")
-        self._verify_normalized()
+        super().__post_init__()
 
     def _factor_moment(self, which: int, r: float) -> float:
         a = self.alpha1 if which == 1 else self.alpha2
@@ -610,54 +520,37 @@ class DoubleGeneralizedGamma(FadingModel):
 
     @cached_property
     def _factor2_grid(self):
-        a, m, om = self.alpha2, self.m2, self.omega2
-        scale = (om / m) ** (1.0 / a)
-        lo = scale * sp.gammaincinv(m, 1e-12) ** (1.0 / a)
-        hi = scale * sp.gammainccinv(m, 1e-13) ** (1.0 / a)
-        u, w = _log_gl_grid(lo, hi, panels=48, order=10)
-        z = (u / scale) ** a
-        dens = np.exp((m * a - 1.0) * np.log(u / scale) - z - sp.gammaln(m)) \
-            * a / scale
-        return u, w * dens
+        a, m = self.alpha2, self.m2
+        return _gen_gamma_grid(m, a, (self.omega2 / m) ** (1.0 / a))
 
-    def _factor1_pdf(self, x: np.ndarray) -> np.ndarray:
-        a, m, om = self.alpha1, self.m1, self.omega1
-        scale = (om / m) ** (1.0 / a)
-        z = x / scale
-        return np.exp((m * a - 1.0) * np.log(z) - z ** a - sp.gammaln(m)) \
-            * a / scale
-
-    def _factor1_cdf(self, x: np.ndarray) -> np.ndarray:
-        a, m, om = self.alpha1, self.m1, self.omega1
-        scale = (om / m) ** (1.0 / a)
-        return sp.gammainc(m, (x / scale) ** a)
+    @property
+    def _factor1_scale(self) -> float:
+        return (self.omega1 / self.m1) ** (1.0 / self.alpha1)
 
     def pdf(self, gamma):
         u, w = self._factor2_grid
         r = float(self.detection_order)
+        a, m, scale = self.alpha1, self.m1, self._factor1_scale
 
         def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            y = self._y_of_gamma(g[pos])
-            fy = (self._factor1_pdf(y[:, None] / u[None, :]) / u[None, :]) @ w
+            y = self._y_of_gamma(g)
+            fy = (_gen_gamma_pdf(y[:, None] / u[None, :], m, a, scale)
+                  / u[None, :]) @ w
             # dy/dgamma = y / (r * gamma)
-            out[pos] = fy * y / (r * g[pos])
-            return out
+            return fy * y / (r * g)
 
-        return _apply(gamma, f)
+        return _positive_part(gamma, f)
 
     def cdf(self, gamma):
         u, w = self._factor2_grid
+        a, m, scale = self.alpha1, self.m1, self._factor1_scale
 
         def f(g):
-            out = np.zeros_like(g)
-            pos = g > 0
-            y = self._y_of_gamma(g[pos])
-            out[pos] = self._factor1_cdf(y[:, None] / u[None, :]) @ w
-            return np.clip(out, 0.0, 1.0)
+            y = self._y_of_gamma(g)
+            z = y[:, None] / u[None, :] / scale
+            return np.clip(sp.gammainc(m, z ** a) @ w, 0.0, 1.0)
 
-        return _apply(gamma, f)
+        return _positive_part(gamma, f)
 
     def sample(self, rng, n):
         i1 = (self.omega1 / self.m1) ** (1.0 / self.alpha1) \
@@ -673,11 +566,6 @@ class DoubleGeneralizedGamma(FadingModel):
             "quadrature here; no H-form is wired up"
         )
 
-    def _shape_key(self):
-        return ("double_generalized_gamma", self.alpha1, self.alpha2,
-                self.m1, self.m2, self.omega1, self.omega2,
-                self.detection_order)
-
 
 @dataclass(frozen=True)
 class Malaga(_HKernel):
@@ -689,8 +577,9 @@ class Malaga(_HKernel):
     power Omega' + 2 b0 rho is Gamma(beta) shadowed.  Z is an exact
     discrete mixture of Erlangs: binomial weights (beta integer, beta
     terms) or negative-binomial weights (any beta, truncated at
-    ``series_terms`` with an exact tail bound).  The SNR axis is scaled
-    so that E[gamma] = mean_irradiance.
+    ``series_terms`` with an exact tail bound, which the normalization
+    check rejects above 1e-6).  The SNR axis is scaled so that
+    E[gamma] = mean_irradiance.
     """
 
     alpha: float
@@ -701,23 +590,17 @@ class Malaga(_HKernel):
     mean_irradiance: float = 1.0
     series_terms: int = 40
 
+    _POSITIVE = ("alpha", "beta", "b0", "mean_irradiance")
+    _MEAN = "mean_irradiance"
+
     def __post_init__(self):
-        _positive("alpha", self.alpha)
-        _positive("beta", self.beta)
-        _positive("b0", self.b0)
         if self.omega_prime < 0.0:
             raise ValueError("omega_prime must be non-negative")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
-        _positive("mean_irradiance", self.mean_irradiance)
         if self.series_terms < 1:
             raise ValueError("series_terms must be at least 1")
-        if self.series_tail > 1e-6:
-            raise NormalizationError(
-                f"series truncation leaves {self.series_tail:.2e} probability "
-                f"mass; raise series_terms above {self.series_terms}"
-            )
-        self._verify_normalized()
+        super().__post_init__()
 
     @property
     def scatter_power(self) -> float:
@@ -784,7 +667,7 @@ class Malaga(_HKernel):
         a = self.alpha
         delta = a / erl_scale
         # pdf = sum_k w_k / (Gamma(a) k!) * gamma^-1 H(delta g | (a,1),(k+1,1));
-        # canonical absorption multiplies each coefficient by delta.
+        # folding the 1/gamma in multiplies each coefficient by delta.
         lk = lw - sp.gammaln(a) - sp.gammaln(np.arange(len(lw)) + 1.0) \
             + math.log(delta)
         return delta, lk
@@ -827,35 +710,26 @@ class Malaga(_HKernel):
         z = (np.sqrt(w * om) + re) ** 2 + im ** 2
         return self._snr_scale * x * z
 
-    def with_mean_snr(self, mean_snr):
-        return replace(self, mean_irradiance=mean_snr)
-
-    @property
-    def mean(self):
-        return self.mean_irradiance
-
-    def _shape_key(self):
-        return ("malaga", self.alpha, self.beta, self.omega_prime,
-                self.b0, self.rho, self.series_terms)
-
 
 @dataclass(frozen=True)
 class GenericH(_HKernel):
     """User-supplied density kappa * H(delta * gamma | params).
 
     Normalization of the supplied triple is checked at construction.
-    Sampling inverts the CDF on a precomputed monotone grid.
+    Sampling inverts the CDF on a precomputed monotone grid.  No single
+    field is the mean: kappa and delta both scale with it.
     """
 
     kappa: float
     delta: float
     params: HParams
 
+    _POSITIVE = ("kappa", "delta")
+    _MEAN = None
+
     def __post_init__(self):
-        _positive("kappa", self.kappa)
-        _positive("delta", self.delta)
         foxh.validate(self.params)
-        self._verify_normalized()
+        super().__post_init__()
 
     @cached_property
     def _canon(self) -> HRepresentation:
@@ -864,7 +738,6 @@ class GenericH(_HKernel):
 
     @cached_property
     def _inverse_grid(self):
-        from .quadrature import quantile_search
         lo = quantile_search(lambda x: self.cdf(x), 1e-9, start=self.mean)
         hi = quantile_search(lambda x: self.cdf(x), 1.0 - 1e-9, start=self.mean)
         grid = np.geomspace(max(lo * 0.5, 1e-300), hi * 2.0, 4097)
@@ -905,8 +778,6 @@ FAMILIES: dict[str, type] = {
 
 def model_from_config(spec: dict) -> FadingModel:
     """Build a hop model from a config mapping with a ``family`` key."""
-    from .errors import ConfigError
-
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError("hop model must be a mapping with a 'family' key")
     family = spec["family"]

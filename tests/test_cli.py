@@ -72,6 +72,10 @@ ALLACTIVE = {
     "mc": {"samples": 20000, "seed": 5},
 }
 
+MALAGA_HOP = {"family": "malaga", "alpha": 2.296, "beta": 1.822,
+              "omega_prime": 1.3265, "b0": 0.1079, "rho": 0.596,
+              "series_terms": 320}
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -137,6 +141,45 @@ class TestConfigLoading:
         cfg["policies"] = [{"name": "ora", "cutof": 1.0}]
         assert run(["capacity-sweep", "--config",
                     write_config(tmp_path, cfg)]) == 1
+
+
+class TestConfigValues:
+    """Bad values in a well-formed config exit 1 with a config error."""
+
+    @pytest.mark.parametrize("policy", [
+        {"name": "ora", "prelog": "half"},
+        {"name": "effective", "qos_delta": "one"},
+        {"name": "tcifr", "cutoff": [1.0]},
+    ])
+    def test_non_numeric_policy_value(self, policy, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["policies"] = [policy]
+        assert run(["capacity-sweep", "--config",
+                    write_config(tmp_path, cfg)]) == 1
+        assert "config error: policies[0]" in capsys.readouterr().err
+
+    def test_non_numeric_mc_snr_point(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["mc"]["snr_db"] = [0.0, "high"]
+        assert run(["validate", "--config", write_config(tmp_path, cfg)]) == 1
+        assert "config error: mc.snr_db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("topo", [
+        {"kind": "serial", "hops": [{"family": "exponential",
+                                     "mean_snr": 100}]},
+        {"kind": "serial", "relays": 1,
+         "hop": {"family": "weibull_gamma", "weibull_shape": 2.0,
+                 "gamma_shape": 3.0, "mean_power": 100}},
+        {"kind": "selective", "branches": [[
+            {"family": "exponential"},
+            dict(MALAGA_HOP, mean_irradiance=100)]]},
+    ], ids=["mean_snr", "mean_power", "mean_irradiance"])
+    def test_hop_mean_left_to_the_grid(self, topo, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["topology"] = topo
+        assert run(["outage-sweep", "--config",
+                    write_config(tmp_path, cfg)]) == 1
+        assert "snr_grid_db sets the per-hop mean" in capsys.readouterr().err
 
 
 class TestCapacitySweep:

@@ -1,8 +1,10 @@
 """Hop models against scipy closed forms, compound-law quadrature oracles,
 and their own physical samplers."""
 
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ def h_route_pdf(model, x):
     """Density through the model's own H representation."""
     rep = model.to_h()
     v, _ = foxh.eval_h(rep.params, rep.delta * np.asarray(x, dtype=float))
-    return rep.kappa * np.asarray(x, dtype=float) ** rep.gamma_power * v
+    return rep.kappa * v
 
 
 class TestElementaryFamilies:
@@ -111,6 +113,14 @@ class TestGammaGamma:
                 lambda g: model.pdf(g), x, scale=0.4, rel_tol=1e-10
             )[0]
             assert float(model.cdf(x)) == pytest.approx(below, abs=1e-8)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_h_route_agrees(self, order):
+        model = GammaGamma(alpha=2.902, beta=2.51, xi=1.1,
+                           detection_order=order, mean_snr=1.3)
+        np.testing.assert_allclose(
+            h_route_pdf(model, GRID), model.pdf(GRID), rtol=1e-8
+        )
 
     def test_detection_order_two_is_squared_irradiance(self):
         lin = GammaGamma(alpha=2.902, beta=2.51, xi=1.1, detection_order=1)
@@ -240,6 +250,87 @@ class TestMeanScaling:
             rtol=1e-9, atol=1e-12,
         )
         assert scaled.mean == pytest.approx(3.7, rel=1e-9)
+
+
+class TestCatalogSkeleton:
+    """What FadingModel does with each family's declarations."""
+
+    # a second shape of each family; an exponential has only one
+    other_shape = {
+        "gamma": {"shape": 1.5},
+        "weibull": {"shape": 1.2},
+        "generalized_gamma": {"power": 1.4},
+        "weibull_gamma": {"gamma_shape": 2.0},
+        "gamma_gamma": {"xi": 1.6},
+        "double_generalized_gamma": {"m1": 3.0},
+        "malaga": {"alpha": 3.1},
+        "generic_h": {"params": HParams(m=1, n=0, lower=((1.0, 1.0),))},
+    }
+
+    @pytest.mark.parametrize("name", sorted(TestSamplers.models))
+    def test_zero_off_the_positive_axis(self, name):
+        model = TestSamplers.models[name]
+        for g in (0.0, -1.0):
+            assert model.pdf(g) == 0.0 and model.cdf(g) == 0.0
+        np.testing.assert_array_equal(model.pdf(np.array([0.0, -1.0])), 0.0)
+        np.testing.assert_array_equal(model.cdf(np.array([0.0, -1.0])), 0.0)
+
+    @pytest.mark.parametrize("name", sorted(TestSamplers.models))
+    def test_each_positive_field_rejects_zero(self, name):
+        model = TestSamplers.models[name]
+        assert model._POSITIVE
+        for field in model._POSITIVE:
+            with pytest.raises(ValueError, match=f"^{field} must be a positive"):
+                replace(model, **{field: 0.0})
+
+    @pytest.mark.parametrize("name", sorted(TestSamplers.models))
+    def test_normalization_checked_once_per_shape(self, name, monkeypatch):
+        calls = []
+        quad_check = fading.integrate_semi_infinite
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quad_check(*args, **kwargs)
+
+        monkeypatch.setattr(fading, "integrate_semi_infinite", counted)
+        monkeypatch.setattr(fading, "_norm_checked", {})
+        model = TestSamplers.models[name]
+        model.with_mean_snr(2.0)
+        model.with_mean_snr(5.0)
+        assert len(calls) == 1
+        if name in self.other_shape:
+            replace(model, **self.other_shape[name])
+            assert len(calls) == 2
+
+
+def _bench_tracer():
+    """A fresh ``Tracer`` from bench/spans.py, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.Tracer()
+
+
+class TestBenchTracerHooks:
+    """The bench tracer wraps pdf/cdf by the class that defines them; a
+    refactor that moves them out of its sight zeroes the fading counts."""
+
+    def test_every_family_counted_and_restored(self):
+        tracer = _bench_tracer()
+        try:
+            tracer.install()
+            for name, model in TestSamplers.models.items():
+                for kind in ("cdf", "pdf"):
+                    key = f"fading.{kind}_calls"
+                    before = tracer.counts[key]
+                    getattr(model, kind)(GRID)
+                    assert tracer.counts[key] == before + 1, (name, kind)
+        finally:
+            tracer.uninstall()
+        for model in TestSamplers.models.values():
+            for kind in ("cdf", "pdf"):
+                assert not hasattr(getattr(type(model), kind), "__wrapped__")
 
 
 class TestModelFromConfig:
