@@ -24,7 +24,7 @@ import numpy as np
 from . import capacity
 from .capacity import PolicySpec
 from .errors import ConfigError, RelayCapError
-from .fading import FAMILIES, FadingModel, model_from_config
+from .fading import FadingModel, model_from_config
 from .montecarlo import PolicyRequest, SimConfig, simulate
 from .topology import (
     AllActive, EndToEndChannel, Selective, Serial, Topology, end_to_end,
@@ -109,12 +109,12 @@ def load_config(ref: str) -> dict:
 
 def _hop_from_config(spec: dict) -> FadingModel:
     """A hop model whose mean is left to the sweep grid."""
-    cls = FAMILIES.get(spec.get("family")) if isinstance(spec, dict) else None
-    if cls is not None and cls._MEAN in spec:
+    model = model_from_config(spec)
+    if model._MEAN in spec:
         raise ConfigError(
-            f"hop model sets {cls._MEAN!r}; snr_grid_db sets the per-hop mean"
+            f"hop model sets {model._MEAN!r}; snr_grid_db sets the per-hop mean"
         )
-    return model_from_config(spec)
+    return model
 
 
 def topology_from_config(block: dict) -> Topology:

@@ -68,14 +68,17 @@ class FadingModel:
     """Construction check, mean scaling and shape key of every model.
 
     ``_POSITIVE`` names the fields that must be positive finite numbers
-    and ``_MEAN`` the field equal to E[gamma]; the other init fields
-    make up the shape, whose normalization is checked once.
+    (not booleans), ``_MEAN`` the field equal to E[gamma]; the other
+    init fields make up the shape, whose normalization is checked once.
     """
 
     _POSITIVE: tuple[str, ...] = ()
     _MEAN: str | None = "mean_snr"
 
     def __post_init__(self):
+        order = getattr(self, "detection_order", 1)
+        if isinstance(order, bool) or order not in (1, 2):
+            raise ValueError("detection_order must be 1 or 2")
         for name in self._POSITIVE:
             _positive(name, getattr(self, name))
         self._verify_normalized()
@@ -135,7 +138,8 @@ class FadingModel:
 
 
 def _positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
@@ -424,11 +428,6 @@ class GammaGamma(_HKernel):
 
     _POSITIVE = ("alpha", "beta", "xi", "mean_snr")
 
-    def __post_init__(self):
-        if self.detection_order not in (1, 2):
-            raise ValueError("detection_order must be 1 or 2")
-        super().__post_init__()
-
     @property
     def pointing_h(self) -> float:
         x2 = self.xi ** 2
@@ -498,11 +497,6 @@ class DoubleGeneralizedGamma(FadingModel):
 
     _POSITIVE = ("alpha1", "alpha2", "m1", "m2", "omega1", "omega2",
                  "mean_snr")
-
-    def __post_init__(self):
-        if self.detection_order not in (1, 2):
-            raise ValueError("detection_order must be 1 or 2")
-        super().__post_init__()
 
     def _factor_moment(self, which: int, r: float) -> float:
         a = self.alpha1 if which == 1 else self.alpha2
@@ -781,7 +775,7 @@ def model_from_config(spec: dict) -> FadingModel:
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError("hop model must be a mapping with a 'family' key")
     family = spec["family"]
-    cls = FAMILIES.get(family)
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise ConfigError(
             f"unknown fading family {family!r}; expected one of "

@@ -8,8 +8,10 @@ kernel), and fused sums of kernels that share a single argument scale.
 
 Evaluation is vectorised over batches of argument values: the Gamma
 product along the contour is computed once per refinement level and
-the argument only enters through an oscillatory factor, which is the
-cheap part.
+the argument only enters through the phase exp(-i t ln x).  Uniform
+nodes let that phase factor into block-start and in-block tables, so a
+level takes N/(2B) + B complex exponentials per argument (49 at
+N = 1025 nodes, B = 32) instead of N/2, plus one small matrix product.
 """
 
 from __future__ import annotations
@@ -244,6 +246,9 @@ def log_theta(params: HParams) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
+_PHASE_BLOCK = 32  # nodes per block of the factored phase sum
+
+
 def _oscillatory_sums(w: np.ndarray, t: np.ndarray, ln_x: np.ndarray):
     """Paired-real and raw-imag trapezoid sums of w(t) * exp(-i t ln x).
 
@@ -251,25 +256,33 @@ def _oscillatory_sums(w: np.ndarray, t: np.ndarray, ln_x: np.ndarray):
     the value is accumulated from symmetric pairs (which is exactly
     real); the leftover imaginary part of the raw sum is returned as a
     rounding diagnostic.
+
+    On a half-line of uniform nodes the phase of node aB + b factors
+    into exp(-i t_aB ln x) exp(-i (t_b - t_0) ln x).  One matrix product
+    sums each block of B = ``_PHASE_BLOCK`` weights against the B x nx
+    in-block table; the A block sums are then weighted by the A x nx
+    block-start table and added.  The t <= 0 half enters as conj(w) and
+    shares both tables; the sum changes only in order and rounding.
     """
     half = (len(t) - 1) // 2
     t_pos = t[half:]
-    w_pos = w[half:].copy()
-    w_pos[0] *= 0.5  # t = 0 shared between the two half-lines
-    w_neg = w[half::-1]  # w(-t), reversed to align with t_pos
+    block = min(_PHASE_BLOCK, len(t_pos))  # B
+    rows = -(-len(t_pos) // block)  # A
+    weights = np.zeros((2, rows * block), dtype=complex)
+    weights[:, : len(t_pos)] = w[half:], np.conj(w[half::-1])  # t >= 0, t <= 0
+    weights[:, 0] *= 0.5  # t = 0 shared between the two half-lines
+    weights = weights.reshape(2 * rows, block)
 
-    vals = np.empty(ln_x.shape, dtype=float)
-    resid = np.empty(ln_x.shape, dtype=float)
-    chunk = max(1, int(2_000_000 / max(len(t_pos), 1)))
+    total = np.empty(ln_x.shape, dtype=complex)
+    chunk = max(1, int(2_000_000 / (3 * rows + block)))  # cells per argument
     for i in range(0, len(ln_x), chunk):
         lx = ln_x[i: i + chunk]
-        phase = np.exp(-1j * np.outer(t_pos, lx))
-        fwd = phase.T @ w_pos          # sum over t >= 0
-        bwd = np.conj(phase).T @ w_neg
-        bwd -= 0.5 * w_neg[0] * np.ones_like(bwd)  # t = 0 counted once
-        vals[i: i + chunk] = (fwd + bwd).real
-        resid[i: i + chunk] = (fwd + bwd).imag
-    return vals, resid
+        sums = weights @ np.exp(-1j * np.outer(t_pos[:block] - t_pos[0], lx))
+        sums = sums.reshape(2, rows, len(lx)) * np.exp(
+            -1j * np.outer(t_pos[::block], lx))
+        fwd, bwd = sums.sum(axis=1)
+        total[i: i + chunk] = fwd + np.conj(bwd)
+    return total.real, total.imag
 
 
 def mellin_barnes(

@@ -132,6 +132,15 @@ def _policy_batch(req: PolicyRequest, g: np.ndarray) -> tuple[np.ndarray, float]
     return np.array([v.sum(), float(v @ v)]), 0.0
 
 
+def _share_diagnostic(moment: str, largest: float, total: float) -> str | None:
+    """Flag a moment estimate that one draw dominates."""
+    share = largest / total if total > 0.0 else 0.0
+    if share > _SHARE_LIMIT:
+        return (f"{moment} unstable: one draw carries {share:.1%} of the "
+                f"sum; the estimate has not converged")
+    return None
+
+
 def _policy_value(req: PolicyRequest, vec: np.ndarray, aux: float,
                   n: int) -> tuple[float, float, str | None]:
     pl = req.prelog
@@ -141,28 +150,14 @@ def _policy_value(req: PolicyRequest, vec: np.ndarray, aux: float,
     if req.name == "effective":
         m, se_m = _mean_se(vec[0], vec[1], n)
         d = req.qos_delta
-        diag = None
-        share = aux / vec[0] if vec[0] > 0.0 else 0.0
-        if share > _SHARE_LIMIT:
-            diag = (
-                f"QoS moment unstable: one draw carries {share:.1%} of "
-                f"the sum; the estimate has not converged"
-            )
-        return max(-math.log(m) / d, 0.0), se_m / (d * m), diag
+        return (max(-math.log(m) / d, 0.0), se_m / (d * m),
+                _share_diagnostic("QoS moment", aux, vec[0]))
     if req.name == "cifr":
         m, se_m = _mean_se(vec[0], vec[1], n)
         if not math.isfinite(m) or m <= 0.0:
             return 0.0, 0.0, "inverse-SNR sample mean overflowed"
-        value = pl / LN2 * math.log1p(1.0 / m)
-        se = pl / LN2 * se_m / (m * m + m)
-        diag = None
-        share = aux / vec[0] if vec[0] > 0.0 else 0.0
-        if share > _SHARE_LIMIT:
-            diag = (
-                f"inverse-SNR moment unstable: one draw carries "
-                f"{share:.1%} of the sum; the estimate has not converged"
-            )
-        return value, se, diag
+        return (pl / LN2 * math.log1p(1.0 / m), pl / LN2 * se_m / (m * m + m),
+                _share_diagnostic("inverse-SNR moment", aux, vec[0]))
     # tcifr: delta method on the (truncated inverse moment, coverage) pair
     t_mean = vec[0] / n
     k_mean = vec[2] / n

@@ -213,10 +213,8 @@ def _intern_hops(hops: Sequence[FadingModel]) -> tuple[FadingModel, ...]:
 
 
 def _intern_pairs(branches: Sequence[BranchPair]) -> tuple[BranchPair, ...]:
-    seen: list[FadingModel] = []
-    return tuple(
-        (_intern_one(a, seen), _intern_one(b, seen)) for a, b in branches
-    )
+    flat = _intern_hops(_flat(branches))
+    return tuple(zip(flat[::2], flat[1::2]))
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,29 @@ class TestConfigValues:
         assert "snr_grid_db sets the per-hop mean" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("family", [["gamma"], {"name": "gamma"}],
+                             ids=["list", "mapping"])
+    def test_non_string_family(self, family, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["topology"]["hops"] = [{"family": family}]
+        assert run(["outage-sweep", "--config",
+                    write_config(tmp_path, cfg)]) == 1
+        assert "config error: unknown fading family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hop", [
+        {"family": "gamma", "shape": True},
+        {"family": "gamma_gamma", "alpha": 2.9, "beta": 2.5, "xi": 1.1,
+         "detection_order": True},
+        {"family": "double_generalized_gamma", "alpha1": 2.1, "alpha2": 1.0,
+         "m1": 2.0, "m2": 1.5, "detection_order": True},
+    ], ids=["shape", "gamma_gamma_order", "dgg_order"])
+    def test_boolean_is_not_a_number(self, hop, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["topology"]["hops"] = [hop]
+        assert run(["outage-sweep", "--config",
+                    write_config(tmp_path, cfg)]) == 1
+        assert "config error: bad parameters" in capsys.readouterr().err
+
 class TestCapacitySweep:
     def test_golden_values(self, tmp_path, capsys):
         assert run(["capacity-sweep", "--config",

@@ -284,6 +284,20 @@ class TestCatalogSkeleton:
                 replace(model, **{field: 0.0})
 
     @pytest.mark.parametrize("name", sorted(TestSamplers.models))
+    def test_each_positive_field_rejects_a_boolean(self, name):
+        model = TestSamplers.models[name]
+        for field in model._POSITIVE:
+            with pytest.raises(ValueError, match=f"^{field} must be a positive"):
+                replace(model, **{field: True})
+
+    @pytest.mark.parametrize("name", ["gamma_gamma",
+                                      "double_generalized_gamma"])
+    @pytest.mark.parametrize("order", [True, False, 0, 3])
+    def test_detection_order_is_one_or_two(self, name, order):
+        with pytest.raises(ValueError, match="^detection_order must be 1 or 2"):
+            replace(TestSamplers.models[name], detection_order=order)
+
+    @pytest.mark.parametrize("name", sorted(TestSamplers.models))
     def test_normalization_checked_once_per_shape(self, name, monkeypatch):
         calls = []
         quad_check = fading.integrate_semi_infinite

@@ -1,5 +1,7 @@
 """Contour evaluation against closed forms and an external gamma oracle."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -267,3 +269,109 @@ class TestThetaCache:
         cached(s)
         cached(s)
         assert calls == [129]
+
+
+def dense_oscillatory_sums(w, t, ln_x):
+    """The trapezoid sum written out: one phase per node and argument."""
+    half = (len(t) - 1) // 2
+    w_pos = w[half:].copy()
+    w_neg = w[half::-1].copy()
+    w_pos[0] *= 0.5
+    w_neg[0] *= 0.5
+    vals, resid = [], []
+    for lx in np.array_split(ln_x, max(1, len(ln_x) // 1000)):
+        phase = np.exp(-1j * np.outer(t[half:], lx))
+        total = phase.T @ w_pos + np.conj(phase).T @ w_neg
+        vals.append(total.real)
+        resid.append(total.imag)
+    return np.concatenate(vals), np.concatenate(resid)
+
+
+class TestOscillatorySums:
+    """The blocked phase sum against the dense one it replaces."""
+
+    # 25,000 arguments exceed one chunk at every node count below
+    # (2e6 / (3 * 17 + 32) = 24,096 at 1025 nodes, fewer above)
+    batches = {
+        "one_argument": np.array([math.log(2.5)]),
+        "several_chunks": np.linspace(math.log(1e-6), math.log(1e6), 25_000),
+    }
+
+    @staticmethod
+    def weights(n, symmetric):
+        params = HParams(m=3, n=0,
+                         lower=((0.0, 1.0), (1.9, 1.0), (1.5, 1.0)))
+        t = np.linspace(-60.0, 60.0, n)
+        lg = foxh.log_theta(params)(1.0 + 1j * t)
+        w = np.exp(lg - lg.real.max())
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        if not symmetric:
+            rng = np.random.default_rng(n)
+            w = w * (1.0 + 0.3j * np.sin(0.7 * t)
+                     + 0.2 * rng.standard_normal(n))
+        return w, t
+
+    @pytest.mark.parametrize("n", [1025, 2049, 4097])
+    @pytest.mark.parametrize("batch", sorted(batches))
+    @pytest.mark.parametrize("symmetric", [True, False],
+                             ids=["conjugate_symmetric", "asymmetric"])
+    def test_matches_dense_sum(self, n, batch, symmetric):
+        assert ((n - 1) // 2 + 1) % foxh._PHASE_BLOCK != 0
+        w, t = self.weights(n, symmetric)
+        ln_x = self.batches[batch]
+        vals, resid = foxh._oscillatory_sums(w, t, ln_x)
+        want_vals, want_resid = dense_oscillatory_sums(w, t, ln_x)
+        tol = 4e-15 * float(np.sum(np.abs(w)))
+        assert np.max(np.abs(vals - want_vals)) <= tol
+        assert np.max(np.abs(resid - want_resid)) <= tol
+        if symmetric:
+            assert np.max(np.abs(resid)) <= tol
+
+
+@st.composite
+def meijer_rows(draw):
+    """Unit-scale rows (A_j = B_j = 1): the H-function is a Meijer G.
+
+    Orders H^{2,0}_{0,2}, H^{3,0}_{1,3} and H^{1,1}_{1,1}; every lower
+    row keeps b > -1/2 so the running integral from 0 converges.
+    """
+    m, n, p, q = draw(st.sampled_from([(2, 0, 0, 2), (3, 0, 1, 3),
+                                       (1, 1, 1, 1)]))
+    b = [draw(st.floats(min_value=-0.5, max_value=3.0)) for _ in range(q)]
+    if n:  # the right poles 1 - a must clear the left poles -b
+        a = [1.0 + min(b[:m]) - draw(st.floats(min_value=0.3,
+                                               max_value=3.0))]
+    else:
+        a = [draw(st.floats(min_value=0.5, max_value=4.0)) for _ in range(p)]
+    params = HParams(m=m, n=n, upper=tuple((v, 1.0) for v in a),
+                     lower=tuple((v, 1.0) for v in b))
+    return params, a, b
+
+
+class TestMeijerGOracle:
+    x = np.geomspace(1e-3, 50.0, 7)
+
+    @given(meijer_rows())
+    @settings(max_examples=25, deadline=None)
+    def test_eval_h_matches_mpmath(self, case):
+        params, a, b = case
+        got, err = foxh.eval_h(params, self.x)
+        n, m = params.n, params.m
+        with mpmath.workdps(30):
+            want = [float(mpmath.meijerg([a[:n], a[n:]], [b[:m], b[m:]], x))
+                    for x in self.x]
+        assert np.all(np.abs(got - want) <= err + 1e-12 * np.abs(want))
+
+    @given(meijer_rows())
+    @settings(max_examples=25, deadline=None)
+    def test_cdf_kernel_matches_mpmath(self, case):
+        # int_0^x G^{m,n}_{p,q}(t) dt = x G^{m,n+1}_{p+1,q+1}(x | 0, a; b, -1)
+        params, a, b = case
+        got, err = foxh.eval_h_cdf_kernel(params, self.x)
+        n, m = params.n, params.m
+        with mpmath.workdps(30):
+            want = [float(x * mpmath.meijerg([[0] + a[:n], a[n:]],
+                                             [b[:m], b[m:] + [-1]], x))
+                    for x in self.x]
+        assert np.all(np.abs(got - want) <= err + 1e-12 * np.abs(want))
