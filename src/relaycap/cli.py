@@ -25,7 +25,7 @@ from . import capacity
 from .capacity import PolicySpec
 from .errors import ConfigError, RelayCapError
 from .fading import FadingModel, model_from_config
-from .montecarlo import PolicyRequest, SimConfig, simulate
+from .montecarlo import PolicyRequest, SimConfig, SimPoint, simulate
 from .topology import (
     AllActive, EndToEndChannel, Selective, Serial, Topology, end_to_end,
     selective_cdf,
@@ -148,7 +148,8 @@ def topology_from_config(block: dict) -> Topology:
         if "relays" not in block or "hop" not in block:
             raise ConfigError("template form needs both 'relays' and 'hop'")
         relays = block["relays"]
-        if not isinstance(relays, int) or relays < 1:
+        if isinstance(relays, bool) or not isinstance(relays, int) \
+                or relays < 1:
             raise ConfigError("relays must be a positive integer")
         hop = _hop_from_config(block["hop"])
         if kind == "serial":
@@ -260,6 +261,11 @@ def mc_from_config(cfg: dict, args) -> tuple[SimConfig, list[float] | None]:
         raise ConfigError(f"bad mc settings: {exc}") from exc
 
 
+def _mean_snr(snr_db: float) -> float:
+    """Per-hop mean SNR of a grid point given in dB."""
+    return 10.0 ** (snr_db / 10.0)
+
+
 def _channel_factory(topology: Topology) -> Callable[[float], EndToEndChannel]:
     """Map a per-hop mean SNR to the topology's end-to-end channel.
 
@@ -358,27 +364,30 @@ def cmd_outage_sweep(args) -> int:
     if validate:
         sim_cfg, _ = mc_from_config(cfg, args)
 
-    header = ["snr_db", "tau", "outage_probability"]
-    if validate:
-        header += ["mc_estimate", "mc_std_error", "z_score"]
-    table: list[list[str]] = []
     factory = _channel_factory(topology)
+    curves = []
     for snr_db in grid:
-        mean = 10.0 ** (snr_db / 10.0)
         try:
-            ch = factory(mean)
-            probs = np.asarray(ch.cdf(np.asarray(taus)), dtype=float)
+            ch = factory(_mean_snr(snr_db))
+            curves.append(np.asarray(ch.cdf(np.asarray(taus)), dtype=float))
         except RelayCapError as exc:
             raise RelayCapError(
                 f"outage-sweep failed at snr_db={_fmt(snr_db)}: {exc}"
             ) from exc
-        if validate:
-            report = simulate(topology.with_mean_snr(mean), sim_cfg, taus,
-                              jobs=args.jobs)
+
+    header = ["snr_db", "tau", "outage_probability"]
+    table: list[list[str]] = []
+    if validate:
+        header += ["mc_estimate", "mc_std_error", "z_score"]
+        reports = simulate(topology.with_mean_snr(1.0), sim_cfg, taus,
+                           [SimPoint(scale=_mean_snr(s)) for s in grid],
+                           jobs=args.jobs)
+        for snr_db, probs, report in zip(grid, curves, reports):
             for p, (tau, est, se) in zip(probs, report.empirical_cdf):
                 z = _z_score(float(p), est, se, sim_cfg.samples)
                 table.append([snr_db, tau, float(p), est, se, z])
-        else:
+    else:
+        for snr_db, probs in zip(grid, curves):
             for tau, p in zip(taus, probs):
                 table.append([snr_db, tau, float(p)])
     _write(args, cfg, _table_text(args, cfg, header, table))
@@ -394,7 +403,7 @@ def cmd_opra_cutoff(args) -> int:
     table = []
     for snr_db in grid:
         try:
-            solve = capacity.opra_cutoff_details(factory(10.0 ** (snr_db / 10.0)))
+            solve = capacity.opra_cutoff_details(factory(_mean_snr(snr_db)))
         except RelayCapError as exc:
             raise RelayCapError(
                 f"opra-cutoff failed at snr_db={_fmt(snr_db)}: {exc}"
@@ -455,28 +464,36 @@ def cmd_validate(args) -> int:
     lines.append(f"outage thresholds: {len(taus)} points in "
                  f"[{_fmt(taus[0])}, {_fmt(taus[-1])}]")
 
-    offenders: list[str] = []
-    comparisons = 0
-    empirical: dict[float, list[tuple[float, float, float]]] = {}
+    # the analytic side first: its cutoffs feed the one simulation,
+    # which draws every batch once and rescales it to each SNR point
     factory = _channel_factory(topology)
+    channels: list[EndToEndChannel] = []
+    analytics: list[dict[str, capacity.PolicyResult]] = []
+    points: list[SimPoint] = []
     for snr_db in snr_points:
-        mean = 10.0 ** (snr_db / 10.0)
+        mean = _mean_snr(snr_db)
         ch = factory(mean)
-        scaled = topology.with_mean_snr(mean)
-
         cache: dict = {}
         analytic: dict[str, capacity.PolicyResult] = {}
         for spec in specs:
             analytic[spec.label] = capacity.evaluate(ch, spec, cache)
-        requests = []
-        for spec in specs:
-            cut = analytic[spec.label].cutoff
-            requests.append(PolicyRequest(
-                name=spec.name, prelog=spec.prelog,
-                qos_delta=spec.qos_delta, cutoff=cut,
-            ))
-        report = simulate(scaled, sim_cfg, taus, policies=requests,
-                          jobs=args.jobs)
+        requests = [
+            PolicyRequest(name=spec.name, prelog=spec.prelog,
+                          qos_delta=spec.qos_delta,
+                          cutoff=analytic[spec.label].cutoff)
+            for spec in specs
+        ]
+        channels.append(ch)
+        analytics.append(analytic)
+        points.append(SimPoint(scale=mean, policies=requests))
+    reports = simulate(topology.with_mean_snr(1.0), sim_cfg, taus, points,
+                       jobs=args.jobs)
+
+    offenders: list[str] = []
+    comparisons = 0
+    empirical: dict[float, list[tuple[float, float, float]]] = {}
+    for snr_db, ch, analytic, point, report in zip(
+            snr_points, channels, analytics, points, reports):
         empirical[snr_db] = report.empirical_cdf
 
         lines.append("")
@@ -498,7 +515,7 @@ def cmd_validate(args) -> int:
         lines.append(f"[snr {_fmt(snr_db)} dB] capacity")
         lines.append("  policy                 analytic     quad_err     "
                      "mc           se           z")
-        for spec, req in zip(specs, requests):
+        for spec, req in zip(specs, point.policies):
             res = analytic[spec.label]
             est, se = report.capacity_estimates[req.label]
             mc_diag = report.diagnostics.get(req.label)
@@ -545,8 +562,7 @@ def cmd_validate(args) -> int:
         lines.append("  snr_db       tau          exact        marginal     "
                      "mc           z_exact  z_marginal")
         for snr_db in snr_points:
-            mean = 10.0 ** (snr_db / 10.0)
-            scaled = topology.with_mean_snr(mean)
+            scaled = topology.with_mean_snr(_mean_snr(snr_db))
             exact = np.asarray(
                 selective_cdf(scaled.branches, np.asarray(taus)),
                 dtype=float)

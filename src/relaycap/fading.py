@@ -27,7 +27,9 @@ import numpy as np
 from scipy import special as sp
 
 from . import foxh
-from .errors import ConfigError, NormalizationError, UnsupportedHForm
+from .errors import (
+    ConfigError, InvalidOrder, NormalizationError, UnsupportedHForm,
+)
 from .foxh import ContourSpec, HParams
 from .quadrature import integrate_semi_infinite, quantile_search
 
@@ -651,8 +653,8 @@ class Malaga(_HKernel):
         """Probability mass beyond the truncated mixture (exact)."""
         if self._beta_integer:
             return 0.0
-        from scipy.stats import nbinom
-        return float(nbinom.sf(self.series_terms - 1, self.beta, 1.0 - self._mix_x))
+        # P(K >= N) for K ~ NegBinomial(beta, 1 - x) is I_x(N, beta)
+        return float(sp.betainc(self.series_terms, self.beta, self._mix_x))
 
     @cached_property
     def _kernel(self):
@@ -785,8 +787,19 @@ def model_from_config(spec: dict) -> FadingModel:
     if cls is GenericH:
         try:
             h = kwargs.pop("h")
+            unknown = set(h) - {"m", "n", "upper", "lower"}
+            if unknown:
+                raise ConfigError(
+                    f"unknown key(s) {sorted(unknown)} in the generic_h block"
+                )
+            for order in ("m", "n"):
+                if isinstance(h[order], bool) or not isinstance(h[order], int):
+                    raise ConfigError(
+                        f"generic_h order {order!r} must be an integer, "
+                        f"got {h[order]!r}"
+                    )
             kwargs["params"] = HParams(
-                m=int(h["m"]), n=int(h["n"]),
+                m=h["m"], n=h["n"],
                 upper=tuple((float(a), float(aa)) for a, aa in h.get("upper", [])),
                 lower=tuple((float(b), float(bb)) for b, bb in h.get("lower", [])),
             )
@@ -800,5 +813,5 @@ def model_from_config(spec: dict) -> FadingModel:
         )
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidOrder) as exc:
         raise ConfigError(f"bad parameters for family {family!r}: {exc}") from exc

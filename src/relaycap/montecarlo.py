@@ -5,6 +5,12 @@ keyed by (hop index, batch index), so a report is bit-identical for a
 given seed regardless of batch execution order, and adding a hop never
 perturbs the draws of the existing ones.  Estimates stream over fixed
 batches; memory is bounded by the batch size.
+
+One simulation serves a whole sweep of mean-SNR points.  Every catalog
+law is a scale family in its mean, and the min, max and sum that
+combine hops commute with a positive scale, so each batch is drawn and
+combined once and then rescaled to every point: the points share
+common random numbers.
 """
 
 from __future__ import annotations
@@ -173,47 +179,79 @@ def _policy_value(req: PolicyRequest, vec: np.ndarray, aux: float,
     return pl / LN2 * log_term * k_mean, math.sqrt(max(var, 0.0)), None
 
 
+@dataclass(frozen=True)
+class SimPoint:
+    """One point of a sweep: a factor on every hop's mean SNR, plus the
+    capacity estimates to accumulate at that point."""
+
+    scale: float = 1.0
+    policies: tuple[PolicyRequest, ...] = ()
+
+    def __post_init__(self):
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError(f"scale must be positive and finite, "
+                             f"got {self.scale}")
+        object.__setattr__(self, "policies", tuple(self.policies))
+
+
 def simulate(
     topology: Topology,
     cfg: SimConfig,
     taus: Sequence[float],
+    points: Sequence[SimPoint] = (SimPoint(),),
     *,
-    policies: Sequence[PolicyRequest] = (),
     jobs: int | None = None,
-) -> SimReport:
-    """Estimate the outage CDF at ``taus`` plus requested capacities.
+) -> list[SimReport]:
+    """Estimate the outage CDF at ``taus`` plus requested capacities at
+    every point of a sweep; returns one report per point, in order.
 
-    Per batch, every hop draws from its own stream and the topology
-    combines the draws physically (min over a chain, then max or sum
-    across branches).  Batches may run on ``jobs`` threads; partial
-    sums are merged in batch order, so the result is identical to the
-    sequential run.
+    Per batch, every hop draws once from its own stream and the
+    topology combines the draws physically (min over a chain, then max
+    or sum across branches).  A point sees the combined draws times its
+    scale, which is the topology with every hop mean multiplied by that
+    scale: min, max and sum commute with a positive factor, and every
+    catalog law is a scale family in its mean.  Batches may run on
+    ``jobs`` threads; partial sums are merged in batch order, so the
+    result is identical to the sequential run.
     """
     taus_arr = np.asarray([float(t) for t in taus], dtype=float)
     if np.any(np.diff(taus_arr) < 0.0):
         raise ValueError("taus must be sorted ascending")
+    points = tuple(points)
+    if not points:
+        raise ValueError("simulate needs at least one point")
     hops = topology.flat_hops()
-    reqs = tuple(policies)
     sizes = _batch_sizes(cfg.samples, cfg.batch)
 
-    def run_batch(b: int) -> tuple:
+    def run_batch(b: int) -> list[tuple]:
         nb = sizes[b]
         draws = [hop.sample(_stream(cfg.seed, h, b), nb)
                  for h, hop in enumerate(hops)]
-        g = topology.combine(draws)
-        ordered = np.sort(g)
-        counts = np.searchsorted(ordered, taus_arr, side="right")
-        moments = np.array([g.sum(), float(g @ g)])
-        partials = [_policy_batch(r, g) for r in reqs]
-        return counts, moments, partials
+        unit = topology.combine(draws)
+        # a positive factor keeps the order, so one sort serves every point
+        ordered = np.sort(unit)
+        partials = []
+        for point in points:
+            g = point.scale * unit
+            counts = np.searchsorted(point.scale * ordered, taus_arr,
+                                     side="right")
+            moments = np.array([g.sum(), float(g @ g)])
+            partials.append((counts, moments,
+                             [_policy_batch(r, g) for r in point.policies]))
+        return partials
 
     if jobs is not None and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             batches = list(pool.map(run_batch, range(len(sizes))))
     else:
         batches = [run_batch(b) for b in range(len(sizes))]
+    return [_report(point.policies, taus_arr, cfg.samples, per_batch)
+            for point, per_batch in zip(points, zip(*batches))]
 
-    n = cfg.samples
+
+def _report(reqs: Sequence[PolicyRequest], taus_arr: np.ndarray, n: int,
+            batches: Iterable[tuple]) -> SimReport:
+    """Merge one point's per-batch partial sums, in batch order."""
     counts = np.zeros(taus_arr.size, dtype=np.int64)
     moments = np.zeros(2)
     vecs = [np.zeros(3) for _ in reqs]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import GridResolutionInsufficient
 from .fading import FadingModel, _apply
@@ -359,6 +359,17 @@ def end_to_end(topology: Topology) -> EndToEndChannel:
     raise TypeError(f"unknown topology {type(topology).__name__}")
 
 
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays through a real FFT.
+
+    The same steps as ``scipy.signal.fftconvolve``, without importing
+    ``scipy.signal``, which would dominate the package's import time.
+    """
+    n = a.size + b.size - 1
+    nf = next_fast_len(n, True)
+    return irfft(rfft(a, nf) * rfft(b, nf), nf)[:n]
+
+
 def _all_active_channel(topology: AllActive) -> EndToEndChannel:
     """Convolve branch-minimum laws on a shared uniform grid.
 
@@ -398,7 +409,7 @@ def _all_active_channel(topology: AllActive) -> EndToEndChannel:
             c = np.asarray(branch_cdf(pair, edges))
             m = np.maximum(np.diff(c), 0.0)
             branch_masses[key] = m
-        mass = m if mass is None else np.maximum(fftconvolve(mass, m), 0.0)
+        mass = m if mass is None else np.maximum(_convolve(mass, m), 0.0)
 
     total = float(mass.sum())
     deficit = 1.0 - total

@@ -302,7 +302,7 @@ class TestAcceptance:
         assert marginal == pytest.approx(
             (1.0 - math.exp(-1.0)) ** 2, rel=1e-9
         )
-        report = simulate(
+        (report,) = simulate(
             Selective(branches),
             SimConfig(samples=10_000_000, seed=20260816),
             [1.0],

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +208,18 @@ class TestConfigValues:
                     write_config(tmp_path, cfg)]) == 1
         assert "config error: bad parameters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["serial", "selective", "all_active"])
+    @pytest.mark.parametrize("relays", [True, False])
+    def test_boolean_relay_count(self, kind, relays, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["topology"] = {"kind": kind, "relays": relays,
+                           "hop": {"family": "exponential"}}
+        assert run(["outage-sweep", "--config",
+                    write_config(tmp_path, cfg)]) == 1
+        assert "config error: relays must be a positive integer" in \
+            capsys.readouterr().err
+
+
 class TestCapacitySweep:
     def test_golden_values(self, tmp_path, capsys):
         assert run(["capacity-sweep", "--config",
@@ -401,6 +416,29 @@ class TestHelp:
                     "snr_grid_db", "taus", "samples", "seed", "snr_db",
                     "output", "format"):
             assert key in text, key
+
+
+class TestStartup:
+    def test_outage_path_imports_no_signal_or_stats(self):
+        # scipy.signal and scipy.stats dominate import time; the CLI and
+        # an all-active grid build must not pull them in
+        code = (
+            "import sys\n"
+            "from relaycap import cli\n"
+            "topo = cli.topology_from_config("
+            "cli.load_config('fig2_malaga')['topology'])\n"
+            "cli._channel_factory(topo)(1.0).cdf(1.0)\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats')"
+            " if m in sys.modules))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        got = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert got.returncode == 0, got.stderr
+        assert got.stdout.strip() == "[]"
 
 
 class TestProgrammaticHelpers:

@@ -190,6 +190,19 @@ class TestMalaga:
         with pytest.raises(NormalizationError):
             Malaga(series_terms=40, **MALAGA_KW)
 
+    @pytest.mark.parametrize("beta,rho", [(1.822, 0.596), (4.5, 0.596),
+                                          (0.7, 0.2)])
+    @pytest.mark.parametrize("terms", [200, 240, 320])
+    def test_series_tail_is_the_negative_binomial_tail(self, beta, rho,
+                                                        terms):
+        model = Malaga(series_terms=terms, **dict(MALAGA_KW, beta=beta,
+                                                  rho=rho))
+        want = st.nbinom.sf(terms - 1, beta, 1.0 - model._mix_x)
+        assert model.series_tail == pytest.approx(want, rel=1e-12)
+
+    def test_integer_beta_has_no_tail(self):
+        assert Malaga(**dict(MALAGA_KW, beta=2.0)).series_tail == 0.0
+
     def test_mean_is_exact(self):
         model = Malaga(series_terms=320, mean_irradiance=1.7, **MALAGA_KW)
         mean, err = integrate_semi_infinite(
@@ -359,6 +372,36 @@ class TestModelFromConfig:
             "h": {"m": 1, "n": 0, "lower": [[0.0, 1.0]]},
         })
         assert m.params == HParams(m=1, n=0, lower=((0.0, 1.0),))
+
+    @pytest.mark.parametrize("order", [1.7, 1.0, True, "1", None])
+    def test_generic_h_order_must_be_an_integer(self, order):
+        from relaycap.errors import ConfigError
+        with pytest.raises(ConfigError, match="order 'm' must be an integer"):
+            model_from_config({
+                "family": "generic_h", "kappa": 1.0, "delta": 1.0,
+                "h": {"m": order, "n": 0, "lower": [[0.0, 1.0]]},
+            })
+        with pytest.raises(ConfigError, match="order 'n' must be an integer"):
+            model_from_config({
+                "family": "generic_h", "kappa": 1.0, "delta": 1.0,
+                "h": {"m": 1, "n": order, "lower": [[0.0, 1.0]]},
+            })
+
+    def test_generic_h_unknown_key(self):
+        from relaycap.errors import ConfigError
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['q'\]"):
+            model_from_config({
+                "family": "generic_h", "kappa": 1.0, "delta": 1.0,
+                "h": {"m": 1, "n": 0, "q": 1.5, "lower": [[0.0, 1.0]]},
+            })
+
+    def test_generic_h_order_out_of_range(self):
+        from relaycap.errors import ConfigError
+        with pytest.raises(ConfigError, match="bad parameters"):
+            model_from_config({
+                "family": "generic_h", "kappa": 1.0, "delta": 1.0,
+                "h": {"m": 2, "n": 0, "lower": [[0.0, 1.0]]},
+            })
 
     def test_unknown_family(self):
         from relaycap.errors import ConfigError

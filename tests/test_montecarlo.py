@@ -2,6 +2,7 @@
 heavy-tail instability flags."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from relaycap.fading import Exponential, Gamma
 from relaycap.montecarlo import (
     PolicyRequest,
     SimConfig,
+    SimPoint,
     empirical_capacity,
     simulate,
 )
-from relaycap.topology import Selective, Serial
+from relaycap.topology import AllActive, Selective, Serial
 
 # closed forms for Exp(1), prelog 1/2 (see test_capacity.py)
 ORA_EXP1 = 0.43017369113544296
@@ -40,29 +42,31 @@ def serial_pair() -> Serial:
 class TestDeterminism:
     def test_same_seed_same_report(self):
         cfg = SimConfig(samples=200_000, seed=42, batch=1 << 15)
-        a = simulate(serial_pair(), cfg, [0.5, 1.0], policies=ALL_POLICIES)
-        b = simulate(serial_pair(), cfg, [0.5, 1.0], policies=ALL_POLICIES)
+        points = [SimPoint(policies=ALL_POLICIES)]
+        a = simulate(serial_pair(), cfg, [0.5, 1.0], points)
+        b = simulate(serial_pair(), cfg, [0.5, 1.0], points)
         assert a == b
 
     def test_threaded_run_matches_sequential(self):
         cfg = SimConfig(samples=200_000, seed=42, batch=1 << 15)
-        seq = simulate(serial_pair(), cfg, [0.5, 1.0], policies=ALL_POLICIES)
-        par = simulate(serial_pair(), cfg, [0.5, 1.0], policies=ALL_POLICIES,
-                       jobs=4)
+        points = [SimPoint(policies=ALL_POLICIES)]
+        seq = simulate(serial_pair(), cfg, [0.5, 1.0], points)
+        par = simulate(serial_pair(), cfg, [0.5, 1.0], points, jobs=4)
         assert seq == par
 
     def test_different_seeds_differ(self):
         taus = [1.0]
-        a = simulate(serial_pair(), SimConfig(samples=10_000, seed=1), taus)
-        b = simulate(serial_pair(), SimConfig(samples=10_000, seed=2), taus)
+        (a,) = simulate(serial_pair(), SimConfig(samples=10_000, seed=1), taus)
+        (b,) = simulate(serial_pair(), SimConfig(samples=10_000, seed=2), taus)
         assert a.empirical_cdf != b.empirical_cdf
 
 
 @pytest.fixture(scope="module")
 def report():
     one = Serial(hops=(Exponential(1.0),))
-    return simulate(one, SimConfig(samples=400_000, seed=9), [1.0],
-                    policies=ALL_POLICIES)
+    (rep,) = simulate(one, SimConfig(samples=400_000, seed=9), [1.0],
+                      [SimPoint(policies=ALL_POLICIES)])
+    return rep
 
 
 class TestAgainstClosedForms:
@@ -100,17 +104,17 @@ class TestInstabilityFlags:
     def test_qos_moment_share_flag(self):
         # delta=10 at 30 dB mean: (1+g)^-a concentrates on the smallest draws
         one = Serial(hops=(Exponential(1000.0),))
-        rep = simulate(one, SimConfig(samples=100_000, seed=5), [1.0],
-                       policies=(PolicyRequest(name="effective",
-                                               qos_delta=10.0),))
+        (rep,) = simulate(one, SimConfig(samples=100_000, seed=5), [1.0],
+                          [SimPoint(policies=(PolicyRequest(
+                              name="effective", qos_delta=10.0),))])
         diag = rep.diagnostics.get("effective[delta=10]", "")
         assert "unstable" in diag and "has not converged" in diag
 
     def test_moderate_delta_is_stable(self):
         one = Serial(hops=(Gamma(shape=2.0),))
-        rep = simulate(one, SimConfig(samples=100_000, seed=5), [1.0],
-                       policies=(PolicyRequest(name="effective",
-                                               qos_delta=1.0),))
+        (rep,) = simulate(one, SimConfig(samples=100_000, seed=5), [1.0],
+                          [SimPoint(policies=(PolicyRequest(
+                              name="effective", qos_delta=1.0),))])
         assert rep.diagnostics == {}
 
 
@@ -180,7 +184,7 @@ class TestTopologyStreams:
             (Exponential(1.0), Exponential(1.0)),
             (Exponential(1.0), Exponential(1.0)),
         ))
-        rep = simulate(sel, SimConfig(samples=200_000, seed=12), [1.0])
+        (rep,) = simulate(sel, SimConfig(samples=200_000, seed=12), [1.0])
         tau, est, se = rep.empirical_cdf[0]
         exact = (1.0 - math.exp(-2.0)) ** 2
         assert abs(est - exact) < 4.0 * se
@@ -190,8 +194,87 @@ class TestTopologyStreams:
             (Exponential(1.0), Exponential(1.0)),
             (Exponential(1.0), Exponential(1.0)),
         ))
-        rep = simulate(aa, SimConfig(samples=200_000, seed=13), [1.0])
+        (rep,) = simulate(aa, SimConfig(samples=200_000, seed=13), [1.0])
         tau, est, se = rep.empirical_cdf[0]
         # Erlang(2, rate 2) at 1
         exact = 1.0 - math.exp(-2.0) * 3.0
         assert abs(est - exact) < 4.0 * se
+
+
+def hops_scaled(topo, c):
+    """The topology with every hop's own mean multiplied by ``c``."""
+    def one(hop):
+        return hop.with_mean_snr(c * hop.mean)
+    if isinstance(topo, Serial):
+        return Serial(hops=tuple(one(h) for h in topo.hops))
+    return replace(topo, branches=tuple((one(a), one(b))
+                                        for a, b in topo.branches))
+
+
+SWEEP_POLICIES = (
+    PolicyRequest(name="ora"),
+    PolicyRequest(name="opra", cutoff=0.3),
+    PolicyRequest(name="tcifr", cutoff=0.8),
+    PolicyRequest(name="effective", qos_delta=1.0),
+    PolicyRequest(name="cifr"),
+)
+
+
+class TestSweepPoints:
+    """One draw per batch, rescaled to every point, equals a run on the
+    topology whose hop means carry the point's scale."""
+
+    CFG = SimConfig(samples=60_000, seed=31, batch=1 << 14)
+    TAUS = [0.05, 0.5, 2.0, 20.0]
+    SCALES = (0.1, 1.0, 31.6)
+
+    @pytest.mark.parametrize("topo", [
+        Serial(hops=(Exponential(2.0), Gamma(shape=2.0, mean_snr=5.0))),
+        AllActive(branches=(
+            (Exponential(1.0), Gamma(shape=2.0, mean_snr=3.0)),
+            (Exponential(4.0), Exponential(0.5)),
+        )),
+    ], ids=["serial", "all_active"])
+    def test_scaled_point_matches_scaled_hops(self, topo):
+        points = [SimPoint(scale=c, policies=SWEEP_POLICIES)
+                  for c in self.SCALES]
+        sweep = simulate(topo, self.CFG, self.TAUS, points)
+        assert len(sweep) == len(self.SCALES)
+        for c, rep in zip(self.SCALES, sweep):
+            (ref,) = simulate(hops_scaled(topo, c), self.CFG, self.TAUS,
+                              [SimPoint(policies=SWEEP_POLICIES)])
+            # equal outage counts, so equal estimates and errors
+            assert rep.empirical_cdf == ref.empirical_cdf
+            assert rep.sample_mean == pytest.approx(ref.sample_mean,
+                                                    rel=1e-12)
+            assert rep.capacity_estimates.keys() == \
+                ref.capacity_estimates.keys()
+            for label, (value, err) in ref.capacity_estimates.items():
+                got = rep.capacity_estimates[label]
+                assert got[0] == pytest.approx(value, rel=1e-12), label
+                assert got[1] == pytest.approx(err, rel=1e-12), label
+            assert rep.diagnostics == ref.diagnostics
+
+    def test_points_keep_their_own_policies(self):
+        sweep = simulate(serial_pair(), self.CFG, [1.0], [
+            SimPoint(scale=2.0, policies=(PolicyRequest(name="ora"),)),
+            SimPoint(scale=0.5),
+        ])
+        assert list(sweep[0].capacity_estimates) == ["ora"]
+        assert sweep[1].capacity_estimates == {}
+
+    def test_threaded_sweep_matches_sequential(self):
+        points = [SimPoint(scale=c, policies=SWEEP_POLICIES)
+                  for c in self.SCALES]
+        seq = simulate(serial_pair(), self.CFG, self.TAUS, points)
+        par = simulate(serial_pair(), self.CFG, self.TAUS, points, jobs=2)
+        assert seq == par
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            SimPoint(scale=scale)
+
+    def test_needs_a_point(self):
+        with pytest.raises(ValueError, match="point"):
+            simulate(serial_pair(), self.CFG, [1.0], [])

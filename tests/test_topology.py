@@ -107,6 +107,19 @@ class TestSelective:
         assert "marginal_product" in ch.description
 
 
+class TestConvolution:
+    # sizes from 2 up: for a length-1 input fftconvolve multiplies
+    # directly, and the grid convolves branch masses of >= 16 bins
+    @pytest.mark.parametrize("na,nb", [(2, 3), (5, 3), (16, 16), (100, 7),
+                                       (1000, 999), (4096, 4096),
+                                       (16384, 16384), (32767, 16384)])
+    def test_matches_fftconvolve_bitwise(self, na, nb):
+        from scipy.signal import fftconvolve
+        rng = np.random.default_rng(na * 100_003 + nb)
+        a, b = rng.random(na), rng.random(nb)
+        assert np.array_equal(topology._convolve(a, b), fftconvolve(a, b))
+
+
 class TestAllActive:
     def two_branch(self) -> AllActive:
         return AllActive(branches=(
