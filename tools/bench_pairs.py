@@ -1,17 +1,18 @@
 """Interleaved parent/change benchmark pairs, summarised into one file.
 
     python3 tools/bench_pairs.py --label NAME [--base REV] [--head REV]
-        [--workload W ...] [--pairs N] [--seconds S] [--seed N]
 
 Exports the committed files of two revisions (``git archive``) into a
-temporary directory and runs each side's own ``bench/run.py`` on every
-workload, pair after pair, alternating which side goes first so that
+temporary directory and runs each side's own ``bench/run.py``, with its
+own default seed and run length, on every workload of BENCHMARK.json:
+``PAIRS`` pairs per workload, alternating which side goes first so that
 machine drift falls on both sides alike.  Writes ``BENCH_<label>.json``
 at the repository root with every run, each side's median and
 quartiles per end-to-end metric, and how many pairs the change won
-(ties count for neither side).  A gain holds when the change wins at
-least nine pairs in ten and the medians differ by more than the base's
-interquartile range.
+(ties count for neither side).  A gain holds when every head run is
+correct, the head fails no more operations than the base, the change
+wins at least nine pairs in ten and the medians differ by more than the
+base's interquartile range.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -46,12 +48,11 @@ def export(rev: str, dest: Path) -> None:
         raise RuntimeError(f"git archive {rev} exited {proc.returncode}")
 
 
-def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_once(tree: Path, workload: str) -> dict:
     """One ``bench/run.py`` invocation; its closing JSON line, parsed."""
     began = time.time()
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+        [sys.executable, "bench/run.py", "--workload", workload],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -75,11 +76,17 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarise(runs: list[dict], specs: list[dict], pairs: int) -> dict:
-    out = {}
+def summarise(runs: list[dict], specs: list[dict]) -> dict:
+    """Per-side correctness and failures, and per-metric spread and wins."""
+    correct = {side: all(r["correct"] for r in runs if r["side"] == side)
+               for side in SIDES}
+    failed = {side: sum(r["failed"] for r in runs if r["side"] == side)
+              for side in SIDES}
+    clean = correct["head"] and failed["head"] <= failed["base"]
+    metrics = {}
     for spec in specs:
         name, lower = spec["name"], spec["better"] == "lower"
-        by_pair = {side: [None] * pairs for side in SIDES}
+        by_pair = {side: [None] * PAIRS for side in SIDES}
         for r in runs:
             by_pair[r["side"]][r["pair"]] = r["metrics"][name]
         sides = {side: spread(by_pair[side]) for side in SIDES}
@@ -91,21 +98,21 @@ def summarise(runs: list[dict], specs: list[dict], pairs: int) -> dict:
                 wins += 1
         gap = sides["head"]["median"] - sides["base"]["median"]
         iqr = sides["base"]["q3"] - sides["base"]["q1"]
-        out[name] = {
+        metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
             **sides,
             "head_wins": wins,
             "ties": ties,
-            "pairs": pairs,
+            "pairs": PAIRS,
             "median_change": gap,
             "median_change_ratio": gap / sides["base"]["median"]
             if sides["base"]["median"] else None,
             "base_iqr": iqr,
-            "gain_holds": wins * 10 >= 9 * pairs and abs(gap) > iqr
-            and (gap < 0) == lower,
+            "gain_holds": clean and wins * 10 >= 9 * PAIRS
+            and abs(gap) > iqr and (gap < 0) == lower,
         }
-    return out
+    return {"correct": correct, "failed": failed, "metrics": metrics}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -113,29 +120,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--base", default="HEAD~1")
     parser.add_argument("--head", default="HEAD")
-    parser.add_argument("--workload", action="append",
-                        help="repeatable; default every workload of "
-                             "BENCHMARK.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        help="per bench/run.py call; default run_seconds "
-                             "of BENCHMARK.json")
-    parser.add_argument("--seed", type=int, default=20260816)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds if args.seconds is not None \
-        else float(bench["run_seconds"])
     revs = {"base": git("rev-parse", args.base),
             "head": git("rev-parse", args.head)}
 
     report: dict = {
         "label": args.label,
         "commits": revs,
-        "seed": args.seed,
-        "seconds": seconds,
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "method": "each pair runs bench/run.py once per side on the "
                   "committed tree of each revision; even pairs run the "
                   "base first, odd pairs the head first",
@@ -146,22 +140,19 @@ def main(argv: list[str] | None = None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(revs[side], trees[side])
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = []
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    run = bench_once(trees[side], workload, args.seed,
-                                     seconds)
+                    run = bench_once(trees[side], workload)
                     runs.append({"pair": pair, "side": side,
                                  "first": side == order[0], **run})
                     print(f"{workload} pair {pair} {side}: " + ", ".join(
                         f"{k}={v:.4g}" for k, v in run["metrics"].items()),
                         flush=True)
             report["workloads"][workload] = {
-                "summary": summarise(runs, bench["end_to_end"], args.pairs),
-                "all_correct": all(r["correct"] for r in runs),
-                "failed": sum(r["failed"] for r in runs),
+                **summarise(runs, bench["end_to_end"]),
                 "runs": runs,
             }
             # rewrite after every workload, so a cut run keeps its pairs
