@@ -247,6 +247,9 @@ def mc_from_config(cfg: dict, args) -> tuple[SimConfig, list[float] | None]:
             "Monte Carlo needs 'mc': {'samples', 'seed'} in the config "
             "or --samples/--seed flags"
         )
+    for name, value in (("samples", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"mc.{name} must be an integer, got {value!r}")
     snr = block.get("snr_db")
     if snr is not None:
         if not isinstance(snr, list) or not snr:
@@ -256,7 +259,7 @@ def mc_from_config(cfg: dict, args) -> tuple[SimConfig, list[float] | None]:
         except (TypeError, ValueError) as exc:
             raise ConfigError("mc.snr_db must contain numbers") from exc
     try:
-        return SimConfig(samples=int(samples), seed=int(seed)), snr
+        return SimConfig(samples=samples, seed=seed), snr
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad mc settings: {exc}") from exc
 
@@ -594,6 +597,13 @@ def cmd_validate(args) -> int:
     return 3 if offenders else 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, *, validate_flag: bool) -> None:
     p.add_argument("--config", required=True,
                    help="config file path or shipped config name")
@@ -602,8 +612,8 @@ def _add_common(p: argparse.ArgumentParser, *, validate_flag: bool) -> None:
                    help="tabular output format (default csv)")
     p.add_argument("--seed", type=int, help="override mc.seed")
     p.add_argument("--samples", type=int, help="override mc.samples")
-    p.add_argument("--jobs", type=int,
-                   help="worker threads for Monte Carlo batches")
+    p.add_argument("--jobs", type=_positive_int,
+                   help="worker threads for Monte Carlo batches (>= 1)")
     if validate_flag:
         p.add_argument("--validate", action="store_true",
                        help="append Monte Carlo columns")

@@ -365,18 +365,24 @@ class WeibullGamma(FadingModel):
 class _HKernel(FadingModel):
     """pdf/cdf of a density kappa * H(delta * gamma) through :mod:`.foxh`.
 
-    Subclasses supply ``_canon``, that representation.  Malaga, whose
-    kernel is a fused series without a parameter block, supplies
-    ``_kappa_delta``, ``_theta`` and both contours instead.
+    Subclasses supply ``_canon``, that representation.  The contour memo
+    (θ on each node grid, the truncation, each level's weights) is looked
+    up by ``_canon.params``, so every SNR point and every instance of a
+    shape share it: the mean only moves kappa and delta, and θ depends
+    on the H rows alone.  Malaga, whose kernel is a fused series without
+    a parameter block, supplies ``_kappa_delta``, ``_theta`` and both
+    contours instead; its series coefficients include log delta, which
+    moves with the mean, so it keeps one memo per instance.
     """
 
     @property
     def _kappa_delta(self) -> tuple[float, float]:
         return self._canon.kappa, self._canon.delta
 
-    @cached_property
+    @property
     def _theta(self):
-        return foxh.cached_theta(foxh.log_theta(self._canon.params))
+        # keyed on the rows θ is built from, never on _shape_key()
+        return foxh.shared_theta(self._canon.params)
 
     @cached_property
     def _pdf_contour(self) -> ContourSpec:

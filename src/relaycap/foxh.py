@@ -12,10 +12,24 @@ the argument only enters through the phase exp(-i t ln x).  Uniform
 nodes let that phase factor into block-start and in-block tables, so a
 level takes N/(2B) + B complex exponentials per argument (49 at
 N = 1025 nodes, B = 32) instead of N/2, plus one small matrix product.
+
+Everything else a call does is argument-free and lives in one memo per
+integrand (``_ThetaCache``): the Gamma product on each node grid, the
+stage-1 truncation of each (contour, weight_power), and each refinement
+level's nodes and normalised weights.  ``shared_theta`` keeps one such
+memo per ``HParams`` block.  Sharing it is exact: θ(s) is built from the
+H rows alone, and a catalog law's mean (its SNR point) only enters the
+argument delta * gamma, never the rows, so every SNR point, call and
+model instance with the same block reuses the same arrays.  Integrands
+whose coefficients move with the mean (Malaga's fused series carries
+log delta) wrap a memo of their own with ``cached_theta`` instead.
+Constants bound both: ``_GRID_ENTRIES`` entries of each kind per memo,
+``_SHARED_MEMOS`` shared blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -299,10 +313,12 @@ def mellin_barnes(
     int_0^x t^p H(t) dt.  Returns ``(value, error)`` with the shapes of
     ``x``.  The error estimate folds in the trapezoid refinement delta,
     the rounding floor of the node sum, and the residual imaginary
-    part, all scaled like the value.
+    part, all scaled like the value.  A ``theta`` from ``cached_theta``
+    or ``shared_theta`` keeps its argument-free work for later calls;
+    any other callable gets a memo for this call only.
     """
+    memo = theta if isinstance(theta, _ThetaCache) else _ThetaCache(theta)
     c = contour.c
-    shift = None if weight_power is None else weight_power + 1.0
 
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
@@ -311,26 +327,9 @@ def mellin_barnes(
         raise ValueError("H-function argument must be positive")
     ln_x = np.log(xv)
 
-    def log_integrand(s: np.ndarray) -> np.ndarray:
-        v = theta(s)
-        if shift is not None:
-            v = v - np.log(shift - s)
-        return v
-
-    # Stage 1: grow the truncation until the integrand tails are dead.
-    # x only contributes a unimodular phase, so this is x-independent.
-    half = contour.half_length
-    t_cap = 16.0 * contour.half_length
-    while True:
-        probe = log_integrand(c + 1j * np.linspace(-half, half, 129)).real
-        if max(probe[0], probe[-1]) <= probe.max() - 41.5:  # ln 1e-18
-            break
-        if half >= t_cap:
-            raise ContourNotConverged(
-                f"contour integrand still {probe.max() - max(probe[0], probe[-1]):.1f} "
-                f"nats above its tail at |Im s| = {half:g}"
-            )
-        half *= 2.0
+    # Stage 1 and every level's node weights are x-independent and
+    # memoised; only the phase sums below see the arguments.
+    half = memo.truncation(contour, weight_power)
 
     # Stage 2: trapezoid refinement at fixed truncation.
     n = 1025
@@ -339,17 +338,12 @@ def mellin_barnes(
     value_scaled = None
     err_scaled = None
     while True:
-        t = np.linspace(-half, half, n)
-        lg = log_integrand(c + 1j * t)
-        re_max = float(lg.real.max())
-        w = np.exp(lg - re_max)
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        t, re_max, w, w_abs = memo.level(contour, weight_power, half, n)
         step = 2.0 * half / (n - 1)
         sums, resid = _oscillatory_sums(w, t, ln_x)
         cur = sums * (step / (2.0 * math.pi))
         cur_resid = np.abs(resid) * (step / (2.0 * math.pi))
-        floor = float(np.sum(np.abs(w))) * (step / (2.0 * math.pi)) * 1e-15
+        floor = w_abs * (step / (2.0 * math.pi)) * 1e-15
         if prev is not None:
             delta = np.abs(cur - prev * math.exp(prev_scale - re_max))
             ok = delta <= np.maximum(contour.rel_tol * np.abs(cur), floor)
@@ -366,7 +360,7 @@ def mellin_barnes(
         n = 2 * n - 1
 
     expo = re_max - c * ln_x
-    if shift is not None:
+    if weight_power is not None:
         expo = expo + (weight_power + 1.0) * ln_x
     live = np.abs(value_scaled) > 0.0
     if np.any(expo[live] > 709.0):
@@ -385,7 +379,7 @@ def eval_h(params: HParams, x, contour: ContourSpec | None = None):
     validate(params)
     if contour is None:
         contour = select_contour(params)
-    return mellin_barnes(log_theta(params), contour, x)
+    return mellin_barnes(shared_theta(params), contour, x)
 
 
 def eval_h_cdf_kernel(
@@ -416,7 +410,7 @@ def eval_h_cdf_kernel(
             f"contour abscissa {contour.c:g} not left of weight pole {cap:g}"
         )
     return mellin_barnes(
-        log_theta(params), contour, x, weight_power=gamma_power
+        shared_theta(params), contour, x, weight_power=gamma_power
     )
 
 
@@ -466,32 +460,110 @@ def mellin_moment(
     return sign * math.exp(log_mag)
 
 
-class _ThetaCache:
-    """Memoise a contour integrand on repeated node grids.
+_GRID_ENTRIES = 48  # θ grids and refinement levels held per memo
+_SHARED_MEMOS = 64  # parameter blocks whose memos are shared at once
 
-    The Gamma product along Re(s) = c does not depend on the argument
-    batch, and the refinement ladder revisits identical linspace grids
-    call after call, so keying on (first, last, count) is exact.
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _ThetaCache:
+    """Memo of all argument-free contour work for one integrand.
+
+    Three things along Re(s) = c do not depend on the argument batch:
+    the Gamma product on each node grid, the stage-1 truncation of each
+    (contour, weight_power), and each refinement level's nodes, peak
+    log-magnitude, end-halved weights and weight mass.  The refinement
+    ladder revisits identical linspace grids call after call, so keying
+    grids on (first, last, count) is exact.  A truncation that fails to
+    converge is not stored, so it raises again on the next call.  Every
+    entry is a pure function of its key, so threads sharing a memo at
+    worst compute an entry twice.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self._fn = fn
         self._store: dict[tuple, np.ndarray] = {}
+        self._halves: dict[tuple, float] = {}
+        self._levels: dict[tuple, tuple] = {}
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         key = (complex(s[0]), complex(s[-1]), int(s.size))
         hit = self._store.get(key)
         if hit is None:
-            hit = self._fn(s)
-            if len(self._store) >= 48:
-                self._store.clear()
-            self._store[key] = hit
+            hit = _frozen(self._fn(s))
+            _put(self._store, key, hit)
+        return hit
+
+    def _log_integrand(self, s, weight_power):
+        v = self(s)
+        if weight_power is not None:
+            v = v - np.log(weight_power + 1.0 - s)
+        return v
+
+    def truncation(self, contour: ContourSpec, weight_power) -> float:
+        """Half-length at which the integrand tails are dead (stage 1)."""
+        key = (contour, weight_power)
+        half = self._halves.get(key)
+        if half is not None:
+            return half
+        # x only contributes a unimodular phase, so this is x-independent.
+        c = contour.c
+        half = contour.half_length
+        t_cap = 16.0 * contour.half_length
+        while True:
+            probe = self._log_integrand(
+                c + 1j * np.linspace(-half, half, 129), weight_power).real
+            if max(probe[0], probe[-1]) <= probe.max() - 41.5:  # ln 1e-18
+                break
+            if half >= t_cap:
+                raise ContourNotConverged(
+                    f"contour integrand still "
+                    f"{probe.max() - max(probe[0], probe[-1]):.1f} "
+                    f"nats above its tail at |Im s| = {half:g}"
+                )
+            half *= 2.0
+        _put(self._halves, key, half)
+        return half
+
+    def level(self, contour: ContourSpec, weight_power, half: float, n: int):
+        """(t, re_max, w, sum |w|) of the n-node trapezoid level."""
+        key = (contour, weight_power, half, n)
+        hit = self._levels.get(key)
+        if hit is None:
+            t = np.linspace(-half, half, n)
+            lg = self._log_integrand(contour.c + 1j * t, weight_power)
+            re_max = float(lg.real.max())
+            w = np.exp(lg - re_max)
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            hit = (_frozen(t), re_max, _frozen(w), float(np.sum(np.abs(w))))
+            _put(self._levels, key, hit)
         return hit
 
 
+def _put(store: dict, key, value) -> None:
+    if len(store) >= _GRID_ENTRIES:
+        store.clear()
+    store[key] = value
+
+
 def cached_theta(fn: Callable[[np.ndarray], np.ndarray]):
-    """Wrap a contour integrand with a node-grid memo."""
+    """Wrap a contour integrand in a fresh memo of its own."""
     return _ThetaCache(fn)
+
+
+@functools.lru_cache(maxsize=_SHARED_MEMOS)
+def shared_theta(params: HParams) -> _ThetaCache:
+    """The one memo of ``log_theta(params)``, shared by every caller.
+
+    θ(s) is a function of the parameter rows alone, so every argument
+    batch, every mean of a scale family and every model instance with
+    the same block may share the memo exactly.
+    """
+    return _ThetaCache(log_theta(params))
 
 
 def fused_series_theta(

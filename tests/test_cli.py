@@ -185,6 +185,18 @@ class TestConfigValues:
         assert "snr_grid_db sets the per-hop mean" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key,value", [
+        ("samples", 2000.7), ("samples", 2000.0), ("samples", "2000"),
+        ("samples", True), ("seed", True), ("seed", 3.9),
+    ])
+    def test_mc_counts_must_be_integers(self, key, value, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["mc"][key] = value
+        assert run(["outage-sweep", "--validate", "--config",
+                    write_config(tmp_path, cfg)]) == 1
+        assert f"config error: mc.{key} must be an integer" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("family", [["gamma"], {"name": "gamma"}],
                              ids=["list", "mapping"])
     def test_non_string_family(self, family, tmp_path, capsys):
@@ -345,6 +357,17 @@ class TestValidate:
         assert run(["validate", "--config",
                     write_config(tmp_path, GRIDFAIL)]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-3", "abc"])
+    def test_jobs_below_one_rejected_at_parsing(self, jobs, tmp_path,
+                                                 capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["validate", "--config", write_config(tmp_path, TINY),
+                 "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestAllActiveSweep:

@@ -210,6 +210,45 @@ class TestMalaga:
         )
         assert mean == pytest.approx(1.7, abs=1e-6)
 
+    def test_each_mean_keeps_its_own_contour_memo(self):
+        # the fused-series coefficients carry log delta, which moves with
+        # the mean, so a memo keyed on the shape would serve wrong values
+        low, high = (Malaga(series_terms=320, mean_irradiance=m, **MALAGA_KW)
+                     for m in (1.0, 10.0))
+        s = low._pdf_contour.c + 1j * np.linspace(-60.0, 60.0, 129)
+        assert low._theta is not high._theta
+        assert not np.array_equal(low._theta(s), high._theta(s))
+        g = np.array([0.1, 1.0, 4.0])
+        np.testing.assert_allclose(high.cdf(10.0 * g), low.cdf(g), rtol=1e-8)
+
+
+class TestSharedContourMemo:
+    def test_theta_built_once_per_grid_across_means(self, monkeypatch):
+        """One GammaGamma shape at 7 means builds θ once per node grid."""
+        grids = []
+        log_theta = foxh.log_theta
+
+        def counted(params):
+            fn = log_theta(params)
+
+            def theta(s):
+                grids.append((complex(s[0]), complex(s[-1]), s.size))
+                return fn(s)
+
+            return theta
+
+        monkeypatch.setattr(foxh, "log_theta", counted)
+        foxh.shared_theta.cache_clear()
+        shape = GammaGamma(alpha=2.413, beta=1.887, xi=0.97)
+        g = np.geomspace(0.01, 5.0, 9)
+        for db in range(0, 35, 5):
+            model = shape.with_mean_snr(10.0 ** (db / 10.0))
+            model.pdf(g * model.mean)
+            model.cdf(g * model.mean)
+        foxh.shared_theta.cache_clear()
+        assert grids
+        assert len(grids) == len(set(grids))
+
 
 class TestSamplers:
     """Physical samplers against the quadrature cdf; fixed stream."""

@@ -1,6 +1,8 @@
 """Contour evaluation against closed forms and an external gamma oracle."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from relaycap import foxh
 from relaycap.errors import (
     ContourAbscissaTooLarge,
+    ContourNotConverged,
     EmptyContourGap,
     InvalidOrder,
     NonPositiveScale,
@@ -269,6 +272,109 @@ class TestThetaCache:
         cached(s)
         cached(s)
         assert calls == [129]
+
+    # GammaGamma-like block (fig1's alpha, beta, xi at r = 1)
+    PARAMS = HParams(m=3, n=0, upper=((2.21, 1.0),),
+                     lower=((1.21, 1.0), (1.902, 1.0), (1.51, 1.0)))
+    BATCHES = (np.array([0.3]), np.geomspace(1e-3, 40.0, 57),
+               np.linspace(0.05, 9.0, 200))
+
+    def test_shared_memo_is_bitwise_a_fresh_one(self):
+        """pdf then cdf kernels, three batches, the block at three means
+        (delta scales the argument): the shared memo, warm from earlier
+        calls, returns exactly what an empty memo returns."""
+        foxh.shared_theta.cache_clear()
+        pdf_c = foxh.select_contour(self.PARAMS)
+        cdf_c = foxh.select_contour(self.PARAMS, upper_bound=1.0)
+        for delta in (0.7, 7.0, 70.0):
+            for contour, power in ((pdf_c, None), (cdf_c, 0.0)):
+                for batch in self.BATCHES:
+                    fresh = foxh.cached_theta(foxh.log_theta(self.PARAMS))
+                    want = foxh.mellin_barnes(fresh, contour, delta * batch,
+                                              weight_power=power)
+                    got = foxh.mellin_barnes(foxh.shared_theta(self.PARAMS),
+                                             contour, delta * batch,
+                                             weight_power=power)
+                    for g, w in zip(got, want):
+                        np.testing.assert_array_equal(g, w)
+        got = foxh.eval_h(self.PARAMS, self.BATCHES[1])
+        want = foxh.mellin_barnes(foxh.log_theta(self.PARAMS), pdf_c,
+                                  self.BATCHES[1])
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_eval_h_routes_through_the_shared_memo(self):
+        foxh.shared_theta.cache_clear()
+        foxh.eval_h(self.PARAMS, 1.0)
+        foxh.eval_h_cdf_kernel(self.PARAMS, 1.0)
+        memo = foxh.shared_theta(self.PARAMS)
+        assert len(memo._halves) == 2  # one truncation per kernel
+        assert memo._levels
+
+    def test_memoised_arrays_are_read_only(self):
+        memo = foxh.cached_theta(foxh.log_theta(self.PARAMS))
+        contour = foxh.select_contour(self.PARAMS)
+        foxh.mellin_barnes(memo, contour, self.BATCHES[1])
+        t, _, w, _ = next(iter(memo._levels.values()))
+        for arr in (t, w, *memo._store.values()):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_unconverged_truncation_is_not_cached(self):
+        # a flat integrand never dies in its tails
+        memo = foxh.cached_theta(np.zeros_like)
+        contour = foxh.ContourSpec(c=0.5)
+        for _ in range(2):
+            with pytest.raises(ContourNotConverged, match="nats above"):
+                foxh.mellin_barnes(memo, contour, 1.0)
+        assert memo._halves == {}
+
+    def test_unconverged_refinement_raises_on_every_call(self):
+        contour = foxh.ContourSpec(c=foxh.select_contour(self.PARAMS).c,
+                                   max_points=1024)
+        memo = foxh.shared_theta(self.PARAMS)
+        for _ in range(2):
+            with pytest.raises(ContourNotConverged, match="1024 contour"):
+                foxh.mellin_barnes(memo, contour, self.BATCHES[1])
+
+    def test_threads_sharing_the_memo_agree_with_a_fresh_one(self):
+        """Monte Carlo workers may fill the shared memo concurrently (a
+        GenericH sampler builds its inverse grid through the cdf)."""
+        foxh.shared_theta.cache_clear()
+        jobs = [(kernel, batch) for kernel in (foxh.eval_h,
+                                               foxh.eval_h_cdf_kernel)
+                for batch in self.BATCHES] * 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(kernel, self.PARAMS, batch)
+                           for kernel, batch in jobs]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        pdf_c = foxh.select_contour(self.PARAMS)
+        cdf_c = foxh.select_contour(self.PARAMS, upper_bound=1.0)
+        for (kernel, batch), result in zip(jobs, got):
+            contour, power = ((pdf_c, None) if kernel is foxh.eval_h
+                              else (cdf_c, 0.0))
+            want = foxh.mellin_barnes(foxh.log_theta(self.PARAMS), contour,
+                                      batch, weight_power=power)
+            for g, w in zip(result, want):
+                np.testing.assert_array_equal(g, w)
+
+    def test_memo_stays_within_its_bounds(self):
+        foxh.shared_theta.cache_clear()
+        for k in range(200):
+            foxh.shared_theta(HParams(m=1, n=0, lower=((0.01 * k, 1.0),)))
+        assert foxh.shared_theta.cache_info().currsize <= foxh._SHARED_MEMOS
+        memo = foxh.cached_theta(lambda s: -(s * s.conj()))  # dies as -t^2
+        for k in range(200):
+            memo(np.linspace(0.5 - 1j, 0.5 + 1j, 129 + k))
+            contour = foxh.ContourSpec(c=0.01 * k)
+            memo.level(contour, None, memo.truncation(contour, None), 3 + k)
+        for store in (memo._store, memo._halves, memo._levels):
+            assert 0 < len(store) <= foxh._GRID_ENTRIES
 
 
 def dense_oscillatory_sums(w, t, ln_x):
