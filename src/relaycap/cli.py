@@ -56,8 +56,8 @@ config file reference (JSON, unknown keys are errors):
   snr_grid_db        list of dB values, or {"start","stop","step"}
   taus               outage/validate threshold list (sorted ascending)
   mc                 Monte Carlo settings:
-    samples          draws per point (>= 1000)
-    seed             unsigned 64-bit stream seed
+    samples          draws per point, an integer >= 1000
+    seed             stream seed, an unsigned 64-bit integer
     snr_db           optional validate-only SNR list (defaults to
                      snr_grid_db)
   output             optional {"path": ..., "format": "csv"|"json"};
