@@ -58,11 +58,6 @@ class EffectiveCapacityParams:
         if not self.qos_delta > 0.0:
             raise ValueError(f"qos_delta must be positive, got {self.qos_delta}")
 
-    @classmethod
-    def from_factors(cls, qos_exponent: float, bandwidth: float,
-                     frame_length: float) -> "EffectiveCapacityParams":
-        return cls(qos_delta=qos_exponent * bandwidth * frame_length)
-
 
 @dataclass(frozen=True)
 class PolicyResult:

@@ -225,16 +225,42 @@ def grid_from_config(cfg: dict, key: str) -> list[float]:
             raise ConfigError(
                 f"{key} range needs numeric start/stop/step"
             ) from exc
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"{key} range needs finite start/stop/step")
         if step <= 0.0 or stop < start:
             raise ConfigError(f"{key} range must have step > 0, stop >= start")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         raw = [start + i * step for i in range(count)]
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{key} must be a nonempty list or range mapping")
+    return _finite_numbers(raw, key)
+
+
+def _finite_numbers(raw: list, where: str) -> list[float]:
     try:
-        return [float(v) for v in raw]
+        values = [float(v) for v in raw]
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must contain numbers") from exc
+        raise ConfigError(f"{where} must contain numbers") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{where} must contain finite numbers")
+    return values
+
+
+def _snr_points(values: list[float], where: str) -> list[float]:
+    """dB values whose per-hop mean SNR is a positive finite float."""
+    for snr_db in values:
+        try:
+            if _mean_snr(snr_db) > 0.0:
+                continue
+        except OverflowError:
+            pass
+        raise ConfigError(f"{where} value {_fmt(snr_db)} dB has no positive "
+                          f"finite mean SNR")
+    return values
+
+
+def _snr_grid(cfg: dict) -> list[float]:
+    return _snr_points(grid_from_config(cfg, "snr_grid_db"), "snr_grid_db")
 
 
 def mc_from_config(cfg: dict, args) -> tuple[SimConfig, list[float] | None]:
@@ -254,10 +280,7 @@ def mc_from_config(cfg: dict, args) -> tuple[SimConfig, list[float] | None]:
     if snr is not None:
         if not isinstance(snr, list) or not snr:
             raise ConfigError("mc.snr_db must be a nonempty list")
-        try:
-            snr = [float(v) for v in snr]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("mc.snr_db must contain numbers") from exc
+        snr = _snr_points(_finite_numbers(snr, "mc.snr_db"), "mc.snr_db")
     try:
         return SimConfig(samples=samples, seed=seed), snr
     except (TypeError, ValueError) as exc:
@@ -330,7 +353,7 @@ def cmd_capacity_sweep(args) -> int:
     _output_block_checked(cfg)
     topology = topology_from_config(cfg.get("topology", {}))
     specs = policies_from_config(cfg)
-    grid = grid_from_config(cfg, "snr_grid_db")
+    grid = _snr_grid(cfg)
     rows = capacity.sweep(_channel_factory(topology), specs, grid)
     failures = [r for r in rows if r.error is not None]
     if failures:
@@ -359,7 +382,7 @@ def cmd_outage_sweep(args) -> int:
     cfg = load_config(args.config)
     _output_block_checked(cfg)
     topology = topology_from_config(cfg.get("topology", {}))
-    grid = grid_from_config(cfg, "snr_grid_db")
+    grid = _snr_grid(cfg)
     taus = grid_from_config(cfg, "taus")
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ConfigError("taus must be sorted ascending")
@@ -401,7 +424,7 @@ def cmd_opra_cutoff(args) -> int:
     cfg = load_config(args.config)
     _output_block_checked(cfg)
     topology = topology_from_config(cfg.get("topology", {}))
-    grid = grid_from_config(cfg, "snr_grid_db")
+    grid = _snr_grid(cfg)
     factory = _channel_factory(topology)
     table = []
     for snr_db in grid:
@@ -447,8 +470,7 @@ def cmd_validate(args) -> int:
     topology = topology_from_config(cfg.get("topology", {}))
     specs = policies_from_config(cfg)
     sim_cfg, val_snr = mc_from_config(cfg, args)
-    snr_points = val_snr if val_snr is not None else grid_from_config(
-        cfg, "snr_grid_db")
+    snr_points = val_snr if val_snr is not None else _snr_grid(cfg)
     taus = grid_from_config(cfg, "taus")
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ConfigError("taus must be sorted ascending")
@@ -604,17 +626,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, *, validate_flag: bool) -> None:
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """Only the flags ``command`` reads: validate writes no table."""
     p.add_argument("--config", required=True,
                    help="config file path or shipped config name")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"),
-                   help="tabular output format (default csv)")
-    p.add_argument("--seed", type=int, help="override mc.seed")
-    p.add_argument("--samples", type=int, help="override mc.samples")
-    p.add_argument("--jobs", type=_positive_int,
-                   help="worker threads for Monte Carlo batches (>= 1)")
-    if validate_flag:
+    if command != "validate":
+        p.add_argument("--format", choices=("csv", "json"),
+                       help="tabular output format (default csv)")
+    if command in ("outage-sweep", "validate"):
+        p.add_argument("--seed", type=int, help="override mc.seed")
+        p.add_argument("--samples", type=int, help="override mc.samples")
+        p.add_argument("--jobs", type=_positive_int,
+                       help="worker threads for Monte Carlo batches (>= 1)")
+    if command == "outage-sweep":
         p.add_argument("--validate", action="store_true",
                        help="append Monte Carlo columns")
 
@@ -645,9 +670,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             name, help=help_text, epilog=_CONFIG_HELP,
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        _add_common(p, validate_flag=(name == "outage-sweep"))
-        if name != "outage-sweep":
-            p.set_defaults(validate=False)
+        _add_flags(p, name)
     args = parser.parse_args(argv)
 
     try:

@@ -14,17 +14,18 @@ level takes N/(2B) + B complex exponentials per argument (49 at
 N = 1025 nodes, B = 32) instead of N/2, plus one small matrix product.
 
 Everything else a call does is argument-free and lives in one memo per
-integrand (``_ThetaCache``): the Gamma product on each node grid, the
-stage-1 truncation of each (contour, weight_power), and each refinement
-level's nodes and normalised weights.  ``shared_theta`` keeps one such
-memo per ``HParams`` block.  Sharing it is exact: θ(s) is built from the
-H rows alone, and a catalog law's mean (its SNR point) only enters the
-argument delta * gamma, never the rows, so every SNR point, call and
-model instance with the same block reuses the same arrays.  Integrands
+integrand (``_ThetaCache``): the stage-1 truncation of each (contour,
+weight_power) and each refinement level's nodes and normalised weights,
+which between them evaluate the Gamma product once per node grid.
+``shared_theta`` keeps one such memo per ``HParams`` block.  Sharing it
+is exact: θ(s) is built from the H rows alone, and a catalog law's mean
+(its SNR point) only enters the argument delta * gamma, never the rows,
+so every SNR point, call and model instance with the same block reuses
+the same arrays.  Integrands
 whose coefficients move with the mean (Malaga's fused series carries
 log delta) wrap a memo of their own with ``cached_theta`` instead.
-Constants bound both: ``_GRID_ENTRIES`` entries of each kind per memo,
-``_SHARED_MEMOS`` shared blocks.
+Constants bound both: ``_GRID_ENTRIES`` truncations and levels per
+memo, ``_SHARED_MEMOS`` shared blocks.
 """
 
 from __future__ import annotations
@@ -210,9 +211,6 @@ def select_contour(
     params: HParams,
     *,
     upper_bound: float | None = None,
-    half_length: float = 60.0,
-    max_points: int = 65536,
-    rel_tol: float = 1e-10,
 ) -> ContourSpec:
     """Abscissa strictly inside the pole gap.
 
@@ -233,9 +231,7 @@ def select_contour(
         c = right - 1.0
     else:
         c = 0.0
-    return ContourSpec(
-        c=c, half_length=half_length, max_points=max_points, rel_tol=rel_tol
-    )
+    return ContourSpec(c=c)
 
 
 def log_theta(params: HParams) -> Callable[[np.ndarray], np.ndarray]:
@@ -460,7 +456,7 @@ def mellin_moment(
     return sign * math.exp(log_mag)
 
 
-_GRID_ENTRIES = 48  # θ grids and refinement levels held per memo
+_GRID_ENTRIES = 48  # truncations and refinement levels held per memo
 _SHARED_MEMOS = 64  # parameter blocks whose memos are shared at once
 
 
@@ -472,30 +468,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class _ThetaCache:
     """Memo of all argument-free contour work for one integrand.
 
-    Three things along Re(s) = c do not depend on the argument batch:
-    the Gamma product on each node grid, the stage-1 truncation of each
-    (contour, weight_power), and each refinement level's nodes, peak
-    log-magnitude, end-halved weights and weight mass.  The refinement
-    ladder revisits identical linspace grids call after call, so keying
-    grids on (first, last, count) is exact.  A truncation that fails to
-    converge is not stored, so it raises again on the next call.  Every
-    entry is a pure function of its key, so threads sharing a memo at
-    worst compute an entry twice.
+    Two things along Re(s) = c do not depend on the argument batch: the
+    stage-1 truncation of each (contour, weight_power), and each
+    refinement level's nodes, peak log-magnitude, end-halved weights and
+    weight mass.  Calling the memo evaluates the Gamma product
+    unmemoised.  A truncation that fails to converge is not stored, so it
+    raises again on the next call.  Every entry is a pure function of its
+    key, so threads sharing a memo at worst compute an entry twice.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self._fn = fn
-        self._store: dict[tuple, np.ndarray] = {}
         self._halves: dict[tuple, float] = {}
         self._levels: dict[tuple, tuple] = {}
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        key = (complex(s[0]), complex(s[-1]), int(s.size))
-        hit = self._store.get(key)
-        if hit is None:
-            hit = _frozen(self._fn(s))
-            _put(self._store, key, hit)
-        return hit
+        return self._fn(s)
 
     def _log_integrand(self, s, weight_power):
         v = self(s)

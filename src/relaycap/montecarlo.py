@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -284,54 +284,3 @@ def _report(reqs: Sequence[PolicyRequest], taus_arr: np.ndarray, n: int,
         diagnostics=diagnostics,
     )
 
-
-def _chunks(stream) -> Iterator[np.ndarray]:
-    if isinstance(stream, np.ndarray):
-        yield stream.astype(float, copy=False).ravel()
-        return
-    buf: list[float] = []
-    for item in stream:
-        if np.ndim(item) == 0:
-            buf.append(float(item))
-            if len(buf) >= 1 << 16:
-                yield np.array(buf)
-                buf = []
-        else:
-            if buf:
-                yield np.array(buf)
-                buf = []
-            yield np.asarray(item, dtype=float).ravel()
-    if buf:
-        yield np.array(buf)
-
-
-def empirical_capacity(
-    samples: np.ndarray | Iterable,
-    policy: str,
-    *,
-    prelog: float = 0.5,
-    qos_delta: float | None = None,
-    cutoff: float | None = None,
-) -> tuple[float, float]:
-    """Sample-mean capacity estimate over a stream of SNR draws.
-
-    ``samples`` may be one array or an iterable of arrays/values; it is
-    consumed in chunks.  Cutoff-based policies take the analytically
-    solved cutoff.  Returns (value, standard error).
-    """
-    req = PolicyRequest(name=policy, prelog=prelog, qos_delta=qos_delta,
-                        cutoff=cutoff)
-    vec = np.zeros(3)
-    aux = 0.0
-    n = 0
-    for chunk in _chunks(samples):
-        b_vec, b_aux = _policy_batch(req, chunk)
-        vec = vec[: b_vec.size] + b_vec
-        aux = max(aux, b_aux)
-        n += chunk.size
-    if n < _MIN_SAMPLES:
-        raise InsufficientSamples(
-            f"need at least {_MIN_SAMPLES} samples, got {n}"
-        )
-    value, err, _ = _policy_value(req, vec, aux, n)
-    return value, err

@@ -79,17 +79,12 @@ def _hop_pdf(hops: Sequence[FadingModel], t: np.ndarray) -> dict[int, np.ndarray
 
 def _branch_cdf(pair: BranchPair, sf: dict) -> np.ndarray:
     first, second = pair
-    s1 = sf[id(first)]
-    s2 = s1 if second is first else sf[id(second)]
-    return 1.0 - s1 * s2
+    return 1.0 - sf[id(first)] * sf[id(second)]
 
 
 def _branch_pdf(pair: BranchPair, sf: dict, pdf: dict) -> np.ndarray:
     first, second = pair
-    s1 = sf[id(first)]
-    if second is first:
-        return 2.0 * pdf[id(first)] * s1
-    return pdf[id(first)] * sf[id(second)] + pdf[id(second)] * s1
+    return pdf[id(first)] * sf[id(second)] + pdf[id(second)] * sf[id(first)]
 
 
 def selective_cdf(branches: Sequence[BranchPair], tau, *, formula: str = "exact"):
@@ -205,8 +200,10 @@ def _intern_one(model: FadingModel, seen: list[FadingModel]) -> FadingModel:
 def _intern_hops(hops: Sequence[FadingModel]) -> tuple[FadingModel, ...]:
     """Replace equal hop models by one shared instance.
 
-    Model instances memoize contours and quantile grids, so equal hops
-    must alias a single object to share that work.
+    Contours are shared per H block, but an instance memoises its
+    ``_canon``, contour specs, ``GenericH`` inverse grid,
+    WeibullGamma/DGG mixing grids and Malaga contour memo.  Aliasing
+    shares those and lets ``_grouped`` evaluate equal hops once.
     """
     seen: list[FadingModel] = []
     return tuple(_intern_one(h, seen) for h in hops)

@@ -177,10 +177,6 @@ class TestEffective:
         ]
         assert caps == sorted(caps, reverse=True)
 
-    def test_from_factors(self):
-        p = EffectiveCapacityParams.from_factors(0.2, 5.0, 0.5)
-        assert p.qos_delta == pytest.approx(0.5)
-
 
 class TestPolicySpec:
     def test_unknown_policy(self):

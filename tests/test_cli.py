@@ -231,6 +231,28 @@ class TestConfigValues:
         assert "config error: relays must be a positive integer" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,path,value", [
+        ("capacity-sweep", ("snr_grid_db",),
+         {"start": 0.0, "stop": math.inf, "step": 1.0}),
+        ("capacity-sweep", ("snr_grid_db",),
+         {"start": 0.0, "stop": 10.0, "step": math.nan}),
+        ("capacity-sweep", ("snr_grid_db",), [math.nan]),
+        ("capacity-sweep", ("snr_grid_db",), [-4000.0]),
+        ("capacity-sweep", ("snr_grid_db",), [4000.0]),
+        ("validate", ("mc", "snr_db"), [math.nan]),
+        ("validate", ("mc", "snr_db"), [4000.0]),
+        ("outage-sweep", ("taus",), [math.nan, 1.0]),
+    ], ids=["range_stop_inf", "range_step_nan", "snr_nan", "snr_zero_mean",
+            "snr_overflow", "mc_snr_nan", "mc_snr_overflow", "tau_nan"])
+    def test_bad_grid_value(self, command, path, value, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        assert run([command, "--config", write_config(tmp_path, cfg)]) == 1
+        assert "config error: " in capsys.readouterr().err
+
 
 class TestCapacitySweep:
     def test_golden_values(self, tmp_path, capsys):
@@ -368,6 +390,21 @@ class TestJobs:
                  "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+class TestFlags:
+    """A subcommand rejects the flags it would not read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity-sweep", "--seed", "1"],
+        ["opra-cutoff", "--jobs", "2"],
+        ["validate", "--format", "json"],
+    ])
+    def test_unread_flag_rejected_at_parsing(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--config", write_config(tmp_path, TINY)])
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
 
 
 class TestAllActiveSweep:

@@ -14,7 +14,6 @@ from relaycap.montecarlo import (
     PolicyRequest,
     SimConfig,
     SimPoint,
-    empirical_capacity,
     simulate,
 )
 from relaycap.topology import AllActive, Selective, Serial
@@ -145,36 +144,35 @@ class TestValidation:
             SimConfig(samples=1000, seed=-1)
 
 
-class TestEmpiricalCapacity:
-    def test_chunked_stream_matches_whole_array(self):
-        rng = np.random.Generator(np.random.Philox(3))
-        draws = rng.exponential(1.0, 50_000)
-        whole = empirical_capacity(draws, "ora")
-        chunked = empirical_capacity(
-            (draws[i:i + 7000] for i in range(0, draws.size, 7000)), "ora"
-        )
-        assert chunked[0] == pytest.approx(whole[0], rel=1e-12)
-        assert chunked[1] == pytest.approx(whole[1], rel=1e-9)
+class TestEstimators:
+    """Capacity estimates are sample means of the simulated draws."""
 
-    def test_needs_minimum_samples(self):
-        with pytest.raises(InsufficientSamples):
-            empirical_capacity(np.ones(999), "ora")
+    CUTOFF = 0.4
 
-    def test_matches_direct_sample_mean(self):
-        rng = np.random.Generator(np.random.Philox(8))
-        draws = rng.exponential(1.0, 20_000)
-        est, se = empirical_capacity(draws, "ora", prelog=0.5)
+    @pytest.fixture(scope="class")
+    def single_batch(self):
+        cfg = SimConfig(samples=20_000, seed=8)
+        (rep,) = simulate(Serial(hops=(Exponential(1.0),)), cfg, [1.0], [
+            SimPoint(policies=(PolicyRequest(name="ora"),
+                               PolicyRequest(name="opra",
+                                             cutoff=self.CUTOFF)))])
+        draws = Exponential(1.0).sample(montecarlo._stream(8, 0, 0),
+                                        cfg.samples)
+        return rep, draws
+
+    def test_ora_matches_direct_sample_mean(self, single_batch):
+        rep, draws = single_batch
+        est, se = rep.capacity_estimates["ora"]
         direct = 0.5 * np.log2(1.0 + draws)
         assert est == pytest.approx(direct.mean(), rel=1e-12)
         assert se == pytest.approx(direct.std(ddof=1) / math.sqrt(draws.size),
                                    rel=1e-9)
 
-    def test_opra_truncates_below_cutoff(self):
-        rng = np.random.Generator(np.random.Philox(8))
-        draws = rng.exponential(1.0, 20_000)
-        cut = 0.4
-        est, _ = empirical_capacity(draws, "opra", cutoff=cut)
-        direct = np.where(draws > cut, 0.5 * np.log2(draws / cut), 0.0)
+    def test_opra_truncates_below_cutoff(self, single_batch):
+        rep, draws = single_batch
+        est, _ = rep.capacity_estimates["opra"]
+        direct = np.where(draws > self.CUTOFF,
+                          0.5 * np.log2(draws / self.CUTOFF), 0.0)
         assert est == pytest.approx(direct.mean(), rel=1e-12)
 
 
