@@ -186,6 +186,28 @@ class _MomentDiverges(Exception):
 
 
 def _inverse_moment(ch: EndToEndChannel) -> tuple[float, float]:
+    """E[1/g] and its error.
+
+    For a channel scaled from a unit law (``EndToEndChannel.scaled``),
+    E[1/(cX)] = E[1/X]/c: the unit law's moment, or its divergence, is
+    computed once, kept in the unit channel's memo, and divided by the
+    factor c at every mean.  Other channels are summed directly.
+    """
+    if ch.unit is None:
+        return _octave_moment(ch)
+    memo = ch.unit.memo
+    if "inverse_moment" not in memo:
+        try:
+            memo["inverse_moment"] = _octave_moment(ch.unit)
+        except _MomentDiverges:
+            memo["inverse_moment"] = None
+    if memo["inverse_moment"] is None:
+        raise _MomentDiverges
+    m, err = memo["inverse_moment"]
+    return m / ch.factor, err / ch.factor
+
+
+def _octave_moment(ch: EndToEndChannel) -> tuple[float, float]:
     """E[1/g] with the near-origin part summed octave by octave.
 
     The density behaves like c * g^(p-1) toward the origin, so the
@@ -244,7 +266,9 @@ def cifr(ch: EndToEndChannel,
 
     capacity = (prelog/ln 2) * ln(1 + 1/E[1/g]).  A divergent inverse
     moment is a valid outcome: zero capacity, flagged in the
-    diagnostic rather than raised.
+    diagnostic rather than raised.  On a channel scaled by c from a
+    unit law, E[1/(cX)] = E[1/X]/c, and E[1/X] is computed once per
+    unit law (see ``_inverse_moment``).
     """
     pl = _prelog(prelog)
     try:
@@ -533,8 +557,8 @@ def sweep(
     """Evaluate policies over an average-SNR grid (dB).
 
     ``ch_factory`` maps a linear mean SNR to an end-to-end channel;
-    each grid point rebuilds the channel once and shares the solved
-    cutoff between ``opra`` and a cutoff-less ``tcifr``.  Per-cell
+    it is called once per grid point, and the point's solved cutoff is
+    shared between ``opra`` and a cutoff-less ``tcifr``.  Per-cell
     failures are recorded on the row instead of aborting the sweep.
     """
     specs = [p if isinstance(p, PolicySpec) else PolicySpec(name=str(p))

@@ -53,7 +53,9 @@ config file reference (JSON, unknown keys are errors):
     cutoff           tcifr only: fixed threshold; defaults to the
                      solved opra cutoff of the same sweep point
     prelog           optional pre-log factor in (0, 1], default 0.5
-  snr_grid_db        list of dB values, or {"start","stop","step"}
+  snr_grid_db        list of dB values, or {"start","stop","step"};
+                     each value lies in [-100, 100] dB and a range
+                     holds at most 100000 points
   taus               outage/validate threshold list (sorted ascending)
   mc                 Monte Carlo settings:
     samples          draws per point, an integer >= 1000
@@ -61,7 +63,8 @@ config file reference (JSON, unknown keys are errors):
     snr_db           optional validate-only SNR list (defaults to
                      snr_grid_db)
   output             optional {"path": ..., "format": "csv"|"json"};
-                     --out/--format take precedence
+                     --out/--format take precedence; validate writes
+                     a text report and takes only "path"
 
 hop model mappings carry "family" plus the family's parameters, e.g.
 {"family": "gamma_gamma", "alpha": 2.9, "beta": 2.5, "xi": 1.1}.
@@ -71,6 +74,13 @@ generic_h.  Per-hop mean SNR is set by the sweep grid as
 10^(snr_db/10), uniformly across hops; a hop mapping that sets its
 family's mean (mean_snr, mean_power or mean_irradiance) is an error.
 """
+
+# Most points a {"start", "stop", "step"} range may expand to.
+MAX_GRID_POINTS = 100_000
+# Largest |dB| of a per-hop mean SNR.  Within 1e-10..1e10 the cutoff
+# solver's 1e-12 floor and the capacity quadratures hold for the
+# catalog laws; far outside, the solves fail or stall.
+SNR_DB_LIMIT = 100.0
 
 
 def _fmt(x: float) -> str:
@@ -229,8 +239,11 @@ def grid_from_config(cfg: dict, key: str) -> list[float]:
             raise ConfigError(f"{key} range needs finite start/stop/step")
         if step <= 0.0 or stop < start:
             raise ConfigError(f"{key} range must have step > 0, stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        raw = [start + i * step for i in range(count)]
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_GRID_POINTS:
+            raise ConfigError(
+                f"{key} range spans more than {MAX_GRID_POINTS} points")
+        raw = [start + i * step for i in range(int(math.floor(span)) + 1)]
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{key} must be a nonempty list or range mapping")
     return _finite_numbers(raw, key)
@@ -247,15 +260,12 @@ def _finite_numbers(raw: list, where: str) -> list[float]:
 
 
 def _snr_points(values: list[float], where: str) -> list[float]:
-    """dB values whose per-hop mean SNR is a positive finite float."""
+    """dB values within ``SNR_DB_LIMIT`` of 0 dB."""
     for snr_db in values:
-        try:
-            if _mean_snr(snr_db) > 0.0:
-                continue
-        except OverflowError:
-            pass
-        raise ConfigError(f"{where} value {_fmt(snr_db)} dB has no positive "
-                          f"finite mean SNR")
+        if not abs(snr_db) <= SNR_DB_LIMIT:
+            raise ConfigError(
+                f"{where} value {_fmt(snr_db)} dB lies outside "
+                f"[{_fmt(-SNR_DB_LIMIT)}, {_fmt(SNR_DB_LIMIT)}] dB")
     return values
 
 
@@ -295,14 +305,13 @@ def _mean_snr(snr_db: float) -> float:
 def _channel_factory(topology: Topology) -> Callable[[float], EndToEndChannel]:
     """Map a per-hop mean SNR to the topology's end-to-end channel.
 
-    An all-active law is a convolution grid, built once at unit mean on
-    the first request and rescaled for every mean (see
-    ``EndToEndChannel.scaled``).  A failed build is not kept, so each
-    request raises again.  Serial and selective laws are lazy closures
-    with nothing built ahead to share.
+    Every catalog law is a scale family in its mean SNR, so every
+    topology's law is built once, at unit mean, on the first request
+    and rescaled for every mean (see ``EndToEndChannel.scaled``); the
+    rescaled channels share what is derived from the unit law, such as
+    its inverse-SNR moment.  A failed build is not kept, so each
+    request raises again.
     """
-    if not isinstance(topology, AllActive):
-        return lambda mean: end_to_end(topology.with_mean_snr(mean))
     unit = functools.cache(lambda: end_to_end(topology.with_mean_snr(1.0)))
     return lambda mean: unit().scaled(mean)
 
@@ -340,9 +349,10 @@ def _table_text(args, cfg: dict, header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _output_block_checked(cfg: dict) -> None:
+def _output_block_checked(cfg: dict,
+                          keys: tuple[str, ...] = ("path", "format")) -> None:
     block = cfg.get("output", {})
-    _check_keys(block, {"path", "format"}, "output")
+    _check_keys(block, set(keys), "output")
     fmt = block.get("format")
     if fmt not in (None, "csv", "json"):
         raise ConfigError("output.format must be 'csv' or 'json'")
@@ -466,7 +476,7 @@ def _capacity_z(analytic: float, quad_err: float, estimate: float,
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    _output_block_checked(cfg)
+    _output_block_checked(cfg, keys=("path",))
     topology = topology_from_config(cfg.get("topology", {}))
     specs = policies_from_config(cfg)
     sim_cfg, val_snr = mc_from_config(cfg, args)

@@ -11,7 +11,7 @@ independent of the analytic CDF route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -297,7 +297,11 @@ class EndToEndChannel:
 
     ``resolution_error`` reports probability mass lost to any grid
     discretisation (zero for the closed compositions); capacity
-    integrals fold it into their reported error.
+    integrals fold it into their reported error.  A channel made by
+    ``scaled`` is the law of ``factor * X`` for the SNR ``X`` of its
+    ``unit`` channel; ``memo`` keeps quantities derived from a law
+    (capacity stores the inverse-SNR moment there), so every channel
+    scaled from one unit law reads the same entries.
     """
 
     cdf: Callable
@@ -305,20 +309,31 @@ class EndToEndChannel:
     support_hint: float
     resolution_error: float = 0.0
     description: str = ""
+    unit: EndToEndChannel | None = field(default=None, repr=False,
+                                         compare=False)
+    factor: float = 1.0
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def scaled(self, factor: float) -> "EndToEndChannel":
         """Law of ``factor * X`` for this channel's SNR ``X``.
 
         Every catalog law is a scale family in its mean SNR, so a law
         built at unit mean serves mean ``factor`` exactly this way; the
-        grid's lost mass does not depend on the scale.
+        grid's lost mass does not depend on the scale.  Scaling a
+        scaled channel rescales its unit law by the product of the
+        factors.
         """
-        cdf, pdf = self.cdf, self.pdf
+        unit = self if self.unit is None else self.unit
+        factor = self.factor * factor
+        cdf, pdf = unit.cdf, unit.pdf
         return replace(
-            self,
+            unit,
             cdf=lambda t: _apply(t, lambda x: cdf(x / factor)),
             pdf=lambda t: _apply(t, lambda x: pdf(x / factor) / factor),
-            support_hint=self.support_hint * factor,
+            support_hint=unit.support_hint * factor,
+            unit=unit,
+            factor=factor,
         )
 
 
