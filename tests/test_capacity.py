@@ -21,7 +21,7 @@ from relaycap.capacity import (
 )
 from relaycap.errors import RelayCapError
 from relaycap.fading import Exponential, Gamma
-from relaycap.topology import AllActive, Serial, end_to_end
+from relaycap.topology import AllActive, Selective, Serial, end_to_end
 
 # Exp(1) single hop, prelog 1/2:
 #   ora  = (1/2) log2(e) * e * E1(1)
@@ -141,6 +141,44 @@ class TestCifr:
         r = capacity.cifr(ch)
         assert r.diagnostic is None
         assert r.capacity == pytest.approx(CIFR_GAMMA2, abs=2e-3)
+
+
+def _gamma2_topology(kind):
+    hop = Gamma(shape=2.0)
+    if kind == "serial":
+        return Serial(hops=(hop, hop))
+    if kind == "selective":
+        return Selective(branches=((hop, hop),) * 2)
+    return AllActive(branches=((hop, hop),) * 2, grid_points=4096)
+
+
+class TestScaledInverseMoment:
+    """E[1/(cX)] = E[1/X]/c: a law scaled from unit mean inverts like the
+    law built at that mean, from one octave sum of the unit law."""
+
+    @pytest.fixture(scope="class", params=["serial", "selective",
+                                           "all_active"])
+    def kind(self, request):
+        return request.param
+
+    @pytest.fixture(scope="class")
+    def unit(self, kind):
+        return end_to_end(_gamma2_topology(kind))
+
+    @pytest.mark.parametrize("c", [0.1, 10.0, 1000.0])
+    def test_matches_the_law_built_at_that_mean(self, kind, unit, c):
+        got = capacity.cifr(unit.scaled(c))
+        want = capacity.cifr(end_to_end(_gamma2_topology(kind)
+                                        .with_mean_snr(c)))
+        assert got.diagnostic is None and want.diagnostic is None
+        assert abs(got.capacity - want.capacity) <= \
+            got.quad_error + want.quad_error
+
+    def test_moment_divides_by_the_factor(self, unit):
+        m1, e1 = capacity._inverse_moment(unit)
+        m, e = capacity._inverse_moment(unit.scaled(8.0))
+        assert m == m1 / 8.0 and e == e1 / 8.0
+        assert unit.memo["inverse_moment"] == (m1, e1)
 
 
 class TestTcifr:

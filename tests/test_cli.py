@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relaycap import cli, topology
-from relaycap.errors import ConfigError
+from relaycap import capacity, cli, topology
+from relaycap.errors import ConfigError, RelayCapError
 
 # Exp(1), prelog 1/2 closed forms (see test_capacity.py)
 ORA_EXP1 = 0.43017369113544296
@@ -242,8 +243,15 @@ class TestConfigValues:
         ("validate", ("mc", "snr_db"), [math.nan]),
         ("validate", ("mc", "snr_db"), [4000.0]),
         ("outage-sweep", ("taus",), [math.nan, 1.0]),
+        ("capacity-sweep", ("snr_grid_db",),
+         {"start": -1.7e308, "stop": 1.7e308, "step": 1.0}),
+        ("capacity-sweep", ("snr_grid_db",),
+         {"start": 0.0, "stop": 1e9, "step": 1e-9}),
+        ("outage-sweep", ("taus",),
+         {"start": 0.0, "stop": 1e6, "step": 1.0}),
     ], ids=["range_stop_inf", "range_step_nan", "snr_nan", "snr_zero_mean",
-            "snr_overflow", "mc_snr_nan", "mc_snr_overflow", "tau_nan"])
+            "snr_overflow", "mc_snr_nan", "mc_snr_overflow", "tau_nan",
+            "range_span_overflow", "range_huge_count", "tau_range_count"])
     def test_bad_grid_value(self, command, path, value, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY))
         block = cfg
@@ -252,6 +260,45 @@ class TestConfigValues:
         block[path[-1]] = value
         assert run([command, "--config", write_config(tmp_path, cfg)]) == 1
         assert "config error: " in capsys.readouterr().err
+
+
+    def test_range_point_bound(self):
+        limit = cli.MAX_GRID_POINTS
+        cfg = {"taus": {"start": 0.0, "stop": limit - 1.0, "step": 1.0}}
+        assert len(cli.grid_from_config(cfg, "taus")) == limit
+        cfg["taus"]["stop"] = float(limit)
+        with pytest.raises(ConfigError, match=f"more than {limit} points"):
+            cli.grid_from_config(cfg, "taus")
+
+    @pytest.mark.parametrize("snr_db", [-3200.0, -3000.0, 3000.0,
+                                        cli.SNR_DB_LIMIT + 0.5])
+    def test_snr_outside_the_stated_range(self, snr_db, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["snr_grid_db"] = [0.0, snr_db]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["capacity-sweep", "--config",
+                        write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: snr_grid_db value {snr_db:.9g} dB "
+                       f"lies outside [-100, 100] dB\n")
+
+    def test_snr_range_ends_run_clean(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["snr_grid_db"] = [-cli.SNR_DB_LIMIT, cli.SNR_DB_LIMIT]
+        cfg["policies"].append({"name": "cifr"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["capacity-sweep", "--config",
+                        write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_validate_takes_no_output_format(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["output"] = {"format": "json"}
+        assert run(["validate", "--config", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'format'" in err
 
 
 class TestCapacitySweep:
@@ -460,6 +507,106 @@ class TestAllActiveSweep:
         assert "outage-sweep failed at snr_db=0" in capsys.readouterr().err
 
 
+# Gamma(2) hops have a finite inverse-SNR moment in every topology
+GAMMA2 = {"family": "gamma", "shape": 2.0}
+UNIT_MEAN_TOPOLOGIES = {
+    "serial": {"kind": "serial", "relays": 1, "hop": GAMMA2},
+    "selective": {"kind": "selective", "relays": 2, "hop": GAMMA2},
+    "all_active": {"kind": "all_active", "relays": 2, "hop": GAMMA2,
+                   "grid_points": 4096},
+}
+
+
+def unit_mean_config(kind, policies=("cifr",), points=7):
+    cfg = json.loads(json.dumps(TINY))
+    cfg["topology"] = json.loads(json.dumps(UNIT_MEAN_TOPOLOGIES[kind]))
+    cfg["policies"] = [{"name": p} for p in policies]
+    cfg["snr_grid_db"] = [5.0 * i for i in range(points)]
+    return cfg
+
+
+class TestUnitMeanChannels:
+    """Every topology's law is built once per command, at unit mean, and
+    its inverse-SNR moment is summed once for the whole sweep."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        build = cli.end_to_end
+
+        def counted(topo):
+            built.append(topo)
+            return build(topo)
+
+        monkeypatch.setattr(cli, "end_to_end", counted)
+        return built
+
+    @pytest.fixture
+    def octave_sums(self, monkeypatch):
+        summed = []
+        moment = capacity._octave_moment
+
+        def counted(ch):
+            summed.append(ch)
+            return moment(ch)
+
+        monkeypatch.setattr(capacity, "_octave_moment", counted)
+        return summed
+
+    @pytest.mark.parametrize("command", [
+        "capacity-sweep", "opra-cutoff", "outage-sweep"])
+    @pytest.mark.parametrize("kind", ["serial", "selective"])
+    def test_law_built_once_at_unit_mean(self, kind, command, builds,
+                                         tmp_path):
+        cfg = unit_mean_config(kind, policies=("ora",), points=3)
+        assert run([command, "--config", write_config(tmp_path, cfg)]) == 0
+        assert len(builds) == 1
+        assert {h.mean for h in builds[0].flat_hops()} == {1.0}
+
+    @pytest.mark.parametrize("kind", sorted(UNIT_MEAN_TOPOLOGIES))
+    def test_seven_point_sweep_sums_octaves_once(self, kind, octave_sums,
+                                                 tmp_path, capsys):
+        cfg = unit_mean_config(kind)
+        assert run(["capacity-sweep", "--config",
+                    write_config(tmp_path, cfg)]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 7
+        assert len(octave_sums) == 1
+        assert octave_sums[0].unit is None
+
+    def test_divergent_moment_flagged_at_every_point(self, octave_sums):
+        topo = cli.topology_from_config(
+            {"kind": "serial", "hops": [{"family": "exponential"}]})
+        rows = capacity.sweep(cli._channel_factory(topo), ["cifr"],
+                              [5.0 * i for i in range(7)])
+        assert len(rows) == 7
+        for row in rows:
+            assert row.result.capacity == 0.0
+            assert row.result.diagnostic == "divergent inverse-SNR moment"
+        assert len(octave_sums) == 1
+
+    @pytest.mark.parametrize("kind", ["serial", "selective"])
+    def test_failed_build_fails_every_snr_point(self, kind, monkeypatch,
+                                                tmp_path, capsys):
+        attempts = []
+
+        def failing(topo):
+            attempts.append(topo)
+            raise RelayCapError("no law at unit mean")
+
+        monkeypatch.setattr(cli, "end_to_end", failing)
+        cfg = unit_mean_config(kind, policies=("ora", "cifr"), points=3)
+        assert run(["capacity-sweep", "--config",
+                    write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("no law at unit mean") == 6
+        assert "snr_db=10 policy=cifr" in err
+        assert len(attempts) == 3
+        assert run(["outage-sweep", "--config",
+                    write_config(tmp_path, cfg)]) == 2
+        assert "outage-sweep failed at snr_db=0" in capsys.readouterr().err
+
+
 class TestHelp:
     def test_top_level_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -476,6 +623,9 @@ class TestHelp:
                     "snr_grid_db", "taus", "samples", "seed", "snr_db",
                     "output", "format"):
             assert key in text, key
+        assert f"at most {cli.MAX_GRID_POINTS} points" in text
+        limit = f"{cli.SNR_DB_LIMIT:g}"
+        assert f"[-{limit}, {limit}] dB" in text
 
 
 class TestStartup:

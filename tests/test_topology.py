@@ -188,6 +188,19 @@ class TestScaledChannel:
         assert got.resolution_error == unit.resolution_error
         assert got.description == unit.description
 
+    def test_scaled_twice_shares_one_unit_law(self):
+        unit = end_to_end(Serial(hops=(Exponential(1.0), Exponential(1.0))))
+        once = unit.scaled(2.0)
+        twice = once.scaled(5.0)
+        assert once.unit is unit and twice.unit is unit
+        assert twice.factor == 10.0
+        assert twice.memo is not unit.memo
+        assert twice.support_hint == 10.0 * unit.support_hint
+        np.testing.assert_array_equal(twice.cdf(TAUS),
+                                      unit.scaled(10.0).cdf(TAUS))
+        np.testing.assert_array_equal(twice.pdf(TAUS),
+                                      unit.scaled(10.0).pdf(TAUS))
+
     def test_scaled_grid_keeps_its_lost_mass(self):
         unit = end_to_end(TestAllActive().two_branch())
         got = unit.scaled(100.0)

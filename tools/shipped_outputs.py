@@ -7,7 +7,11 @@ and runs the 20 shipped commands on each: capacity-sweep, outage-sweep,
 opra-cutoff, validate and outage-sweep --validate, on each of the four
 shipped configs, at the seed the configs carry.  Prints one line per
 command: "identical", or what differs, with each moved column and the
-largest absolute change of its numbers.  Exits 1 if any command's
+largest absolute change of its numbers.  Under capacity-sweep and
+validate it then lists each capacity cell that moved (the
+``capacity_bits_per_hz`` column, or a report's ``analytic`` column) and
+whether the move lies within the base's plus the head's ``quad_error``
+of that cell, the bound a speedup must keep.  Exits 1 if any command's
 stdout, stderr or exit code differs between the revisions.
 """
 
@@ -28,6 +32,9 @@ COMMANDS = (("capacity-sweep",), ("outage-sweep",), ("opra-cutoff",),
             ("validate",), ("outage-sweep", "--validate"))
 CONFIGS = ("fig1_serial2", "fig1_selective3", "fig2_malaga", "fig3_dgg")
 ENTRY = "import sys; from relaycap.cli import main; sys.exit(main(sys.argv[1:]))"
+# the column that carries each policy's capacity, by command
+CAPACITY_COLUMNS = {"capacity-sweep": "capacity_bits_per_hz",
+                    "validate": "analytic"}
 
 
 def run(tree: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
@@ -86,6 +93,51 @@ def moved_columns(base: bytes, head: bytes) -> str:
                      for name, diff in moved.items())
 
 
+def capacity_cells(command: str, text: str) -> dict[str, tuple[str, str | None]]:
+    """Each capacity cell of a command's stdout and its quad_error.
+
+    Keyed by SNR point and policy.  A validate report row flagged
+    divergent prints no quad_error, so its error is None.
+    """
+    if command == "capacity-sweep":
+        return {f"snr_db={r['snr_db']} policy={r['policy']}":
+                (r["capacity_bits_per_hz"], r["quad_error"])
+                for r in csv.DictReader(io.StringIO(text))}
+    found: dict[str, tuple[str, str | None]] = {}
+    snr = None
+    for line in text.splitlines():
+        row = line.split()
+        if line.startswith("[snr ") and line.endswith(" dB] capacity"):
+            snr = line[len("[snr "):-len(" dB] capacity")]
+        elif not row:
+            snr = None  # a blank line ends the section
+        elif snr is not None and row[0] != "policy":
+            err = row[2] if is_number(row[2]) else None
+            found[f"snr_db={snr} policy={row[0]}"] = (row[1], err)
+    return found
+
+
+def capacity_moves(command: str, base: bytes, head: bytes) -> list[str]:
+    """One line per moved capacity cell, judged by both quad_errors."""
+    a, b = (capacity_cells(command, out.decode(errors="replace"))
+            for out in (base, head))
+    lines = []
+    for key, (value_a, err_a) in a.items():
+        if key not in b or b[key][0] == value_a:
+            continue
+        value_b, err_b = b[key]
+        move = abs(float(value_b) - float(value_a))
+        if err_a is None or err_b is None:
+            verdict = "no quad_error to judge it by"
+        else:
+            bound = float(err_a) + float(err_b)
+            side = "within" if move <= bound else "BEYOND"
+            verdict = f"{side} quad_error {err_a} + {err_b}"
+        lines.append(f"  {key}: {CAPACITY_COLUMNS[command]} moved by "
+                     f"{move:.3g}, {verdict}")
+    return lines
+
+
 def compare(base: tuple[bytes, bytes, int],
             head: tuple[bytes, bytes, int]) -> str:
     if base == head:
@@ -108,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
 
     revs = {"base": git("rev-parse", args.base),
             "head": git("rev-parse", args.head)}
-    differing = 0
+    differing = moved = beyond = 0
     with tempfile.TemporaryDirectory(prefix="shipped-outputs-") as tmp:
         trees = {side: Path(tmp) / side for side in revs}
         for side, rev in revs.items():
@@ -116,12 +168,20 @@ def main(argv: list[str] | None = None) -> int:
         for config in CONFIGS:
             for command in COMMANDS:
                 argv = [*command, "--config", config]
-                verdict = compare(run(trees["base"], argv),
-                                  run(trees["head"], argv))
+                base, head = run(trees["base"], argv), run(trees["head"], argv)
+                verdict = compare(base, head)
                 differing += verdict != "identical"
                 print(f"{' '.join(argv)}: {verdict}", flush=True)
+                if command[0] in CAPACITY_COLUMNS and len(command) == 1:
+                    cells = capacity_moves(command[0], base[0], head[0])
+                    moved += len(cells)
+                    beyond += sum(" within " not in c for c in cells)
+                    for line in cells:
+                        print(line, flush=True)
     total = len(CONFIGS) * len(COMMANDS)
-    print(f"{total - differing} of {total} commands identical")
+    print(f"{total - differing} of {total} commands identical; "
+          f"{moved} capacity cell(s) moved, {beyond} of them not within "
+          f"the base plus head quad_error")
     return 1 if differing else 0
 
 
