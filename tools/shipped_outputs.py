@@ -117,8 +117,10 @@ def capacity_cells(command: str, text: str) -> dict[str, tuple[str, str | None]]
     return found
 
 
-def capacity_moves(command: str, base: bytes, head: bytes) -> list[str]:
-    """One line per moved capacity cell, judged by both quad_errors."""
+def capacity_moves(command: str, base: bytes,
+                   head: bytes) -> list[tuple[str, bool]]:
+    """One line per moved capacity cell, and whether the move lies within
+    the base plus the head quad_error."""
     a, b = (capacity_cells(command, out.decode(errors="replace"))
             for out in (base, head))
     lines = []
@@ -127,14 +129,15 @@ def capacity_moves(command: str, base: bytes, head: bytes) -> list[str]:
             continue
         value_b, err_b = b[key]
         move = abs(float(value_b) - float(value_a))
+        within = False
         if err_a is None or err_b is None:
             verdict = "no quad_error to judge it by"
         else:
-            bound = float(err_a) + float(err_b)
-            side = "within" if move <= bound else "BEYOND"
-            verdict = f"{side} quad_error {err_a} + {err_b}"
-        lines.append(f"  {key}: {CAPACITY_COLUMNS[command]} moved by "
-                     f"{move:.3g}, {verdict}")
+            within = move <= float(err_a) + float(err_b)
+            verdict = (f"{'within' if within else 'BEYOND'} quad_error "
+                       f"{err_a} + {err_b}")
+        lines.append((f"  {key}: {CAPACITY_COLUMNS[command]} moved by "
+                      f"{move:.3g}, {verdict}", within))
     return lines
 
 
@@ -172,11 +175,11 @@ def main(argv: list[str] | None = None) -> int:
                 verdict = compare(base, head)
                 differing += verdict != "identical"
                 print(f"{' '.join(argv)}: {verdict}", flush=True)
-                if command[0] in CAPACITY_COLUMNS and len(command) == 1:
-                    cells = capacity_moves(command[0], base[0], head[0])
-                    moved += len(cells)
-                    beyond += sum(" within " not in c for c in cells)
-                    for line in cells:
+                if command[0] in CAPACITY_COLUMNS:
+                    for line, within in capacity_moves(command[0], base[0],
+                                                       head[0]):
+                        moved += 1
+                        beyond += not within
                         print(line, flush=True)
     total = len(CONFIGS) * len(COMMANDS)
     print(f"{total - differing} of {total} commands identical; "
