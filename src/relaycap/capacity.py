@@ -188,17 +188,17 @@ class _MomentDiverges(Exception):
 def _inverse_moment(ch: EndToEndChannel) -> tuple[float, float]:
     """E[1/g] and its error.
 
-    For a channel scaled from a unit law (``EndToEndChannel.scaled``),
+    A channel is ``factor`` times its unit law (itself, factor 1, when
+    it was not made by ``EndToEndChannel.scaled``), and
     E[1/(cX)] = E[1/X]/c: the unit law's moment, or its divergence, is
     computed once, kept in the unit channel's memo, and divided by the
-    factor c at every mean.  Other channels are summed directly.
+    factor c at every mean.
     """
-    if ch.unit is None:
-        return _octave_moment(ch)
-    memo = ch.unit.memo
+    base = ch.unit or ch
+    memo = base.memo
     if "inverse_moment" not in memo:
         try:
-            memo["inverse_moment"] = _octave_moment(ch.unit)
+            memo["inverse_moment"] = _octave_moment(base)
         except _MomentDiverges:
             memo["inverse_moment"] = None
     if memo["inverse_moment"] is None:
