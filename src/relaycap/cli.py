@@ -79,12 +79,10 @@ family's mean (mean_snr, mean_power or mean_irradiance) is an error.
 MAX_GRID_POINTS = 100_000
 # Largest |dB| of a per-hop mean SNR.  At -100 and 100 dB,
 # capacity-sweep with all five policies exits 0 with an empty stderr on
-# one hop of exponential, gamma, weibull, generalized_gamma,
-# gamma_gamma, malaga or generic_h, and on the four shipped configs
-# (fig1_serial2 takes about 20 s a point there).  One weibull_gamma or
-# double_generalized_gamma hop fails (exit 2) from about -40 dB down.
-# At -300 dB the opra cutoff falls below the solver's 1e-12 floor; at
-# 1000 dB tcifr's reported error reaches 0.5.
+# one hop of each of the nine families and on the four shipped configs
+# (fig1_serial2 takes about 20 s a point there).  At -300 dB the opra
+# cutoff falls below the solver's 1e-12 floor; at 1000 dB tcifr's
+# reported error reaches 0.5.
 SNR_DB_LIMIT = 100.0
 
 
@@ -530,15 +528,14 @@ def cmd_validate(args) -> int:
 
     offenders: list[str] = []
     comparisons = 0
-    empirical: dict[float, list[tuple[float, float, float]]] = {}
+    outages: list[np.ndarray] = []
     for snr_db, ch, analytic, point, report in zip(
             snr_points, channels, analytics, points, reports):
-        empirical[snr_db] = report.empirical_cdf
-
         lines.append("")
         lines.append(f"[snr {_fmt(snr_db)} dB] outage")
         lines.append("  tau          analytic     mc           se           z")
         probs = np.asarray(ch.cdf(np.asarray(taus)), dtype=float)
+        outages.append(probs)
         for p, (tau, est, se) in zip(probs, report.empirical_cdf):
             z = _z_score(float(p), est, se, sim_cfg.samples)
             comparisons += 1
@@ -600,16 +597,18 @@ def cmd_validate(args) -> int:
                      "(exact min-max law vs marginal-product variant)")
         lines.append("  snr_db       tau          exact        marginal     "
                      "mc           z_exact  z_marginal")
-        for snr_db in snr_points:
-            scaled = topology.with_mean_snr(_mean_snr(snr_db))
-            exact = np.asarray(
-                selective_cdf(scaled.branches, np.asarray(taus)),
-                dtype=float)
-            marginal = np.asarray(
-                selective_cdf(scaled.branches, np.asarray(taus),
-                              formula="marginal_product"), dtype=float)
-            for ex, mg, (tau, est, se) in zip(exact, marginal,
-                                              empirical[snr_db]):
+        # the outage table already holds the topology's own formula;
+        # the other one is evaluated on the unit-mean law at tau / mean
+        unit = topology.with_mean_snr(1.0)
+        other = ("marginal_product" if topology.formula == "exact"
+                 else "exact")
+        for snr_db, probs, report in zip(snr_points, outages, reports):
+            law = {topology.formula: probs, other: np.asarray(selective_cdf(
+                unit.branches, np.asarray(taus) / _mean_snr(snr_db),
+                formula=other), dtype=float)}
+            for ex, mg, (tau, est, se) in zip(law["exact"],
+                                              law["marginal_product"],
+                                              report.empirical_cdf):
                 z_ex = _z_score(float(ex), est, se, sim_cfg.samples)
                 z_mg = _z_score(float(mg), est, se, sim_cfg.samples)
                 lines.append(

@@ -295,7 +295,12 @@ class GeneralizedGamma(FadingModel):
 def _gen_gamma_grid(shape: float, power: float, scale: float):
     """Log-space Gauss-Legendre mixing grid (48 panels of order 10) of
     scale * G**(1/power), G ~ Gamma(shape, 1), between its 1e-12 and
-    1 - 1e-13 quantiles, with the density folded into the weights."""
+    1 - 1e-13 quantiles, with the density folded into the weights.
+
+    The weights are divided by their sum, so a mixture's CDF reaches 1:
+    the mass cut off outside the quantiles would otherwise leave a
+    survival floor of about 1e-12, which ora's (1 + g) weight turns
+    into a term growing like log g at low SNR."""
     lo = scale * sp.gammaincinv(shape, 1e-12) ** (1.0 / power)
     hi = scale * sp.gammainccinv(shape, 1e-13) ** (1.0 / power)
     gx, gw = np.polynomial.legendre.leggauss(10)
@@ -303,8 +308,9 @@ def _gen_gamma_grid(shape: float, power: float, scale: float):
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
     u = np.exp((mid[:, None] + half[:, None] * gx[None, :]).ravel())
-    w = (half[:, None] * gw[None, :]).ravel() * u
-    return u, w * _gen_gamma_pdf(u, shape, power, scale)
+    w = (half[:, None] * gw[None, :]).ravel() * u * _gen_gamma_pdf(
+        u, shape, power, scale)
+    return u, w / w.sum()
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,7 @@ def _policy_batch(req: PolicyRequest, g: np.ndarray) -> tuple[np.ndarray, float]
         above = g >= req.cutoff
         v = np.where(above, pl * np.log2(np.maximum(g, req.cutoff) / req.cutoff),
                      0.0)
+        return np.array([v.sum(), float(v @ v), float(above.sum())]), 0.0
     elif req.name == "effective":
         a = req.qos_delta * pl / LN2
         v = np.exp(-a * np.log1p(g))
@@ -150,9 +151,13 @@ def _share_diagnostic(moment: str, largest: float, total: float) -> str | None:
 def _policy_value(req: PolicyRequest, vec: np.ndarray, aux: float,
                   n: int) -> tuple[float, float, str | None]:
     pl = req.prelog
-    if req.name in ("ora", "opra"):
+    if req.name == "ora":
+        return (*_mean_se(vec[0], vec[1], n), None)
+    if req.name == "opra":
+        # with no draw at or above the cutoff the estimate is 0 with
+        # standard error 0, which no z-test can judge (tcifr alike)
         m, se = _mean_se(vec[0], vec[1], n)
-        return m, se, None
+        return m, se, None if vec[2] > 0.0 else "no draws above the cutoff"
     if req.name == "effective":
         m, se_m = _mean_se(vec[0], vec[1], n)
         d = req.qos_delta

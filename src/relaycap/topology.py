@@ -3,10 +3,15 @@
 A regenerative multihop link is limited by its weakest hop, so the
 serial end-to-end SNR is the minimum over hops.  Relay branches that
 are selected or summed combine the per-branch minima by max or by
-convolution respectively.  Each topology's ``combine`` realises the
-physical recipe (min / max of min / sum of min) over per-hop draws
-taken in ``flat_hops`` order; Monte Carlo samples through it,
-independent of the analytic CDF route.
+convolution respectively.  Every closed form is one law for the
+minimum of independent hops (``_min_law``: a log-survival CDF, exact
+in the lower tail, and its product-rule density) and one product rule
+for the maximum (``_product_law``).  A chain or a branch is a minimum;
+a selective system is the maximum of its branch minima or, in the
+marginal-product variant, of the first-hop and second-hop minima.
+Each topology's ``combine`` realises the physical recipe (min / max
+of min / sum of min) over per-hop draws taken in ``flat_hops`` order;
+Monte Carlo samples through it, independent of the analytic CDF route.
 """
 
 from __future__ import annotations
@@ -26,65 +31,21 @@ BranchPair = tuple[FadingModel, FadingModel]
 
 def serial_cdf(hops: Sequence[FadingModel], tau):
     """Outage CDF of a chain: 1 - prod_n (1 - F_n(tau))."""
-    def f(t):
-        log_sf = np.zeros_like(t)
-        for hop, count in _grouped(hops):
-            c = np.minimum(hop.cdf(t), 1.0)
-            with np.errstate(divide="ignore"):
-                log_sf += count * np.log1p(-c)
-        return -np.expm1(log_sf)
-
-    return _apply(tau, f)
+    return _apply(tau, lambda t: _min_law(hops, _hop_laws(hops, t, False))[0])
 
 
 def serial_pdf(hops: Sequence[FadingModel], tau):
     """Density of the chain minimum by the product rule."""
-    groups = _grouped(hops)
-
-    def f(t):
-        sfs = [np.maximum(1.0 - hop.cdf(t), 0.0) for hop, _ in groups]
-        pdfs = [hop.pdf(t) for hop, _ in groups]
-        total = np.zeros_like(t)
-        for i, (_, count) in enumerate(groups):
-            other = np.ones_like(t)
-            for j, (_, cj) in enumerate(groups):
-                power = cj - 1 if j == i else cj
-                if power:
-                    other = other * sfs[j] ** power
-            total += count * pdfs[i] * other
-        return total
-
-    return _apply(tau, f)
+    return _apply(tau, lambda t: _min_law(hops, _hop_laws(hops, t, True))[1])
 
 
 def branch_cdf(pair: BranchPair, tau):
-    """CDF of min(hop1, hop2): 1 - (1-F1)(1-F2)."""
-    return _apply(tau, lambda t: _branch_cdf(pair, _hop_sf(pair, t)))
+    """CDF of min(hop1, hop2), the chain law of the pair."""
+    return serial_cdf(pair, tau)
 
 
 def branch_pdf(pair: BranchPair, tau):
-    return _apply(tau, lambda t: _branch_pdf(
-        pair, _hop_sf(pair, t), _hop_pdf(pair, t)))
-
-
-def _hop_sf(hops: Sequence[FadingModel], t: np.ndarray) -> dict[int, np.ndarray]:
-    """Clipped survival 1 - min(F, 1) of each distinct hop, by identity."""
-    return {id(h): 1.0 - np.minimum(h.cdf(t), 1.0) for h, _ in _grouped(hops)}
-
-
-def _hop_pdf(hops: Sequence[FadingModel], t: np.ndarray) -> dict[int, np.ndarray]:
-    """Density of each distinct hop, by identity."""
-    return {id(h): h.pdf(t) for h, _ in _grouped(hops)}
-
-
-def _branch_cdf(pair: BranchPair, sf: dict) -> np.ndarray:
-    first, second = pair
-    return 1.0 - sf[id(first)] * sf[id(second)]
-
-
-def _branch_pdf(pair: BranchPair, sf: dict, pdf: dict) -> np.ndarray:
-    first, second = pair
-    return pdf[id(first)] * sf[id(second)] + pdf[id(second)] * sf[id(first)]
+    return serial_pdf(pair, tau)
 
 
 def selective_cdf(branches: Sequence[BranchPair], tau, *, formula: str = "exact"):
@@ -92,73 +53,73 @@ def selective_cdf(branches: Sequence[BranchPair], tau, *, formula: str = "exact"
 
     ``exact`` treats each branch as the min of its two hops and takes
     the distribution of the max of those minima.  ``marginal_product``
-    multiplies the two marginal all-hop outage factors instead, which
-    is *not* the distribution of any function of the hop draws; it is
-    kept selectable for comparison studies.
+    takes the max of the chain minima of all first hops and of all
+    second hops instead, which is *not* the distribution of any
+    function of the hop draws; it is kept selectable for comparison
+    studies.
     """
     _check_formula(formula)
-    hops = _flat(branches)
-    if formula == "exact":
-        def f(t):
-            sf = _hop_sf(hops, t)
-            out = np.ones_like(t)
-            for pair in branches:
-                out = out * _branch_cdf(pair, sf)
-            return out
-    else:
-        def f(t):
-            sf = _hop_sf(hops, t)
-            u = np.ones_like(t)
-            v = np.ones_like(t)
-            for first, second in branches:
-                u = u * sf[id(first)]
-                v = v * sf[id(second)]
-            return (1.0 - u) * (1.0 - v)
-
-    return _apply(tau, f)
+    return _apply(tau, lambda t: _selective_law(branches, formula, t, False)[0])
 
 
 def selective_pdf(branches: Sequence[BranchPair], tau, *, formula: str = "exact"):
     _check_formula(formula)
-    hops = _flat(branches)
-    if formula == "exact":
-        def f(t):
-            sf, pdf = _hop_sf(hops, t), _hop_pdf(hops, t)
-            cdfs = [_branch_cdf(p, sf) for p in branches]
-            pdfs = [_branch_pdf(p, sf, pdf) for p in branches]
-            total = np.zeros_like(t)
-            for i in range(len(branches)):
-                other = np.ones_like(t)
-                for j, c in enumerate(cdfs):
-                    if j != i:
-                        other = other * c
-                total += pdfs[i] * other
-            return total
-    else:
-        def f(t):
-            sf, pdf = _hop_sf(hops, t), _hop_pdf(hops, t)
-            s1 = [sf[id(p[0])] for p in branches]
-            s2 = [sf[id(p[1])] for p in branches]
-            f1 = [pdf[id(p[0])] for p in branches]
-            f2 = [pdf[id(p[1])] for p in branches]
-            u = np.ones_like(t)
-            v = np.ones_like(t)
-            for a, b in zip(s1, s2):
-                u, v = u * a, v * b
-            du = np.zeros_like(t)
-            dv = np.zeros_like(t)
-            for i in range(len(branches)):
-                oth_u = np.ones_like(t)
-                oth_v = np.ones_like(t)
-                for j in range(len(branches)):
-                    if j != i:
-                        oth_u = oth_u * s1[j]
-                        oth_v = oth_v * s2[j]
-                du += f1[i] * oth_u
-                dv += f2[i] * oth_v
-            return du * (1.0 - v) + (1.0 - u) * dv
+    return _apply(tau, lambda t: _selective_law(branches, formula, t, True)[1])
 
-    return _apply(tau, f)
+
+def _selective_law(branches, formula: str, t: np.ndarray, density: bool):
+    laws = _hop_laws(_flat(branches), t, density)
+    chains = branches if formula == "exact" else tuple(zip(*branches))
+    return _product_law([(*_min_law(chain, laws), 1) for chain in chains])
+
+
+def _hop_laws(hops: Sequence[FadingModel], t: np.ndarray, density: bool):
+    """Clipped CDF min(F, 1) and, if ``density``, the density of each
+    distinct hop at ``t``, keyed by identity: one evaluation per hop."""
+    return {id(h): (np.minimum(h.cdf(t), 1.0), h.pdf(t) if density else None)
+            for h, _ in _grouped(hops)}
+
+
+def _min_law(hops: Sequence[FadingModel], laws: dict):
+    """CDF and density of the minimum of independent hops.
+
+    With S = 1 - F per distinct hop and c its repeat count, the CDF is
+    1 - prod S^c, taken as -expm1(sum c log1p(-F)) so that it keeps its
+    relative accuracy in the lower tail.  The density is the product
+    rule on the survivals (None when ``laws`` carries no densities).
+    """
+    groups = _grouped(hops)
+    log_sf = np.zeros_like(laws[id(hops[0])][0])
+    for hop, count in groups:
+        with np.errstate(divide="ignore"):
+            log_sf += count * np.log1p(-laws[id(hop)][0])
+    survivals = [(1.0 - laws[id(h)][0], laws[id(h)][1], c) for h, c in groups]
+    return -np.expm1(log_sf), _product_law(survivals)[1]
+
+
+def _product_law(factors):
+    """prod F^c over (F, f, c) factors and its product-rule derivative.
+
+    For CDFs F with densities f this is the law of the maximum of
+    independent variables, c copies each.  For survivals S with the
+    hop densities f it is the survival of their minimum and, since
+    each f is -dS/dt, that minimum's density.  The derivative is None
+    when the densities are.
+    """
+    product = np.ones_like(factors[0][0])
+    for value, _, count in factors:
+        product = product * value ** count
+    if factors[0][1] is None:
+        return product, None
+    total = np.zeros_like(product)
+    for i, (_, rate, count) in enumerate(factors):
+        other = np.ones_like(product)
+        for j, (value, _, cj) in enumerate(factors):
+            power = cj - 1 if j == i else cj
+            if power:
+                other = other * value ** power
+        total += count * rate * other
+    return product, total
 
 
 def _check_formula(formula: str) -> None:
@@ -348,27 +309,35 @@ def end_to_end(topology: Topology) -> EndToEndChannel:
     """Build the end-to-end channel law for a topology."""
     if isinstance(topology, Serial):
         hops = topology.hops
-        cdf = lambda t: serial_cdf(hops, t)
-        pdf = lambda t: serial_pdf(hops, t)
-        hint = _support_hint(cdf, min(h.mean for h in hops))
-        return EndToEndChannel(
-            cdf=cdf, pdf=pdf, support_hint=hint,
-            description=f"serial chain of {len(hops)} hop(s)",
-        )
+        return _closed_form(
+            lambda t: serial_cdf(hops, t), lambda t: serial_pdf(hops, t),
+            min(h.mean for h in hops), f"serial chain of {len(hops)} hop(s)")
     if isinstance(topology, Selective):
         branches, formula = topology.branches, topology.formula
-        cdf = lambda t: selective_cdf(branches, t, formula=formula)
-        pdf = lambda t: selective_pdf(branches, t, formula=formula)
-        hint = _support_hint(cdf, max(h.mean for h in topology.flat_hops()))
-        return EndToEndChannel(
-            cdf=cdf, pdf=pdf, support_hint=hint,
-            description=(
-                f"best of {len(branches)} relay branch(es), {formula} form"
-            ),
-        )
+        return _closed_form(
+            lambda t: selective_cdf(branches, t, formula=formula),
+            lambda t: selective_pdf(branches, t, formula=formula),
+            max(h.mean for h in topology.flat_hops()),
+            f"best of {len(branches)} relay branch(es), {formula} form")
     if isinstance(topology, AllActive):
-        return _all_active_channel(topology)
+        if len(topology.branches) > 1:
+            return _all_active_channel(topology)
+        # a one-branch sum is the chain law of its pair; skipping the
+        # grid keeps its exact tail behaviour (a grid law cuts off the
+        # origin, which would hide a divergent inverse moment)
+        pair = topology.branches[0]
+        return _closed_form(
+            lambda t: branch_cdf(pair, t), lambda t: branch_pdf(pair, t),
+            max(pair[0].mean, pair[1].mean),
+            "single active branch (hop-pair minimum)")
     raise TypeError(f"unknown topology {type(topology).__name__}")
+
+
+def _closed_form(cdf, pdf, start: float, description: str) -> EndToEndChannel:
+    """Channel of a closed-form law, its support hint searched from ``start``."""
+    return EndToEndChannel(cdf=cdf, pdf=pdf,
+                           support_hint=_support_hint(cdf, start),
+                           description=description)
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -390,18 +359,6 @@ def _all_active_channel(topology: AllActive) -> EndToEndChannel:
     works with probability masses rather than density samples.
     """
     branches = topology.branches
-    if len(branches) == 1:
-        # a one-branch sum is the branch law itself; skipping the grid
-        # keeps its exact tail behaviour (a grid law cuts off the
-        # origin, which would hide a divergent inverse moment)
-        pair = branches[0]
-        cdf = lambda t: branch_cdf(pair, t)
-        pdf = lambda t: branch_pdf(pair, t)
-        hint = _support_hint(cdf, max(pair[0].mean, pair[1].mean))
-        return EndToEndChannel(
-            cdf=cdf, pdf=pdf, support_hint=hint,
-            description="single active branch (hop-pair minimum)",
-        )
     k = topology.grid_points
     distinct = {(id(a), id(b)): (a, b) for a, b in branches}
     per_branch_cap = max(

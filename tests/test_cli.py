@@ -283,8 +283,17 @@ class TestConfigValues:
         assert err == (f"config error: snr_grid_db value {snr_db:.9g} dB "
                        f"lies outside [-100, 100] dB\n")
 
-    def test_snr_range_ends_run_clean(self, tmp_path, capsys):
+    # the mixing-grid families once stopped 1.1e-12 short of CDF 1,
+    # which broke ora's integral from about -40 dB down
+    @pytest.mark.parametrize("hop", [
+        {"family": "exponential"},
+        {"family": "weibull_gamma", "weibull_shape": 2.0, "gamma_shape": 3.0},
+        {"family": "double_generalized_gamma", "alpha1": 2.1, "alpha2": 1.0,
+         "m1": 2.0, "m2": 1.5},
+    ], ids=["exponential", "weibull_gamma", "dgg"])
+    def test_snr_range_ends_run_clean(self, hop, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY))
+        cfg["topology"]["hops"] = [hop]
         cfg["snr_grid_db"] = [-cli.SNR_DB_LIMIT, cli.SNR_DB_LIMIT]
         cfg["policies"].append({"name": "cifr"})
         with warnings.catch_warnings():
@@ -421,6 +430,30 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "selective combining comparison" in out
         assert "result: FAIL" in out
+
+    @pytest.mark.parametrize("formula", ["exact", "marginal_product"])
+    def test_selective_comparison_columns(self, formula, tmp_path, capsys):
+        # one branch of two Exp(1) hops: exact 1 - e^(-2 tau / mean),
+        # marginal product (1 - e^(-tau / mean))^2
+        cfg = json.loads(json.dumps(MARGINAL))
+        cfg["topology"]["formula"] = formula
+        cfg["mc"] = {"samples": 2000, "seed": 3, "snr_db": [0.0, 10.0]}
+        cfg["taus"] = [0.5, 2.0]
+        run(["validate", "--config", write_config(tmp_path, cfg)])
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("selective combining comparison "
+                            "(exact min-max law vs marginal-product variant)")
+        rows = [line.split() for line in lines[start + 2:start + 6]]
+        outage = [line.split() for line in lines
+                  if line.startswith("  0.5 ") or line.startswith("  2 ")]
+        column = 2 if formula == "exact" else 3
+        for row, table in zip(rows, outage):
+            snr_db, tau, exact, marginal = map(float, row[:4])
+            x = tau / 10.0 ** (snr_db / 10.0)
+            assert exact == pytest.approx(-math.expm1(-2.0 * x), rel=1e-8)
+            assert marginal == pytest.approx(math.expm1(-x) ** 2, rel=1e-8)
+            # the topology's own formula is the outage table's column
+            assert row[column] == table[1]
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         assert run(["validate", "--config",

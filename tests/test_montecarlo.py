@@ -116,6 +116,17 @@ class TestInstabilityFlags:
                               name="effective", qos_delta=1.0),))])
         assert rep.diagnostics == {}
 
+    def test_no_draws_above_the_cutoff(self):
+        # Exp(1) exceeds 50 with probability e^-50: no draw reaches it
+        one = Serial(hops=(Exponential(1.0),))
+        (rep,) = simulate(one, SimConfig(samples=20_000, seed=1), [1.0],
+                          [SimPoint(policies=(
+                              PolicyRequest(name="opra", cutoff=50.0),
+                              PolicyRequest(name="tcifr", cutoff=50.0)))])
+        assert rep.capacity_estimates["opra"] == (0.0, 0.0)
+        assert rep.diagnostics == {"opra": "no draws above the cutoff",
+                                   "tcifr": "no draws above the cutoff"}
+
 
 class TestValidation:
     def test_minimum_sample_budget(self):

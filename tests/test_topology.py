@@ -1,6 +1,7 @@
 """Topology compositions against exponential closed forms and scipy laws."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from relaycap.topology import (
     AllActive,
     Selective,
     Serial,
+    branch_cdf,
+    branch_pdf,
     end_to_end,
     selective_cdf,
 )
@@ -105,6 +108,54 @@ class TestSelective:
             formula="marginal_product",
         ))
         assert "marginal_product" in ch.description
+
+
+def _exponential_min(rate):
+    """CDF and density of the minimum of exponential hops of total rate."""
+    return lambda t: (-np.expm1(-rate * t), rate * np.exp(-rate * t))
+
+
+def _max_of(*laws):
+    """CDF and product-rule density of the max of independent laws."""
+    def law(t):
+        parts = [f(t) for f in laws]
+        cdf = np.prod([c for c, _ in parts], axis=0)
+        return cdf, sum(d * cdf / c for c, d in parts)
+    return law
+
+
+# a pair of exponential hops of rates 1 and 2; its minimum has rate 3
+TAIL_PAIR = (Exponential(1.0), Exponential(0.5))
+TAIL_LAWS = {
+    "serial": (lambda: end_to_end(Serial(TAIL_PAIR)), _exponential_min(3.0)),
+    "branch": (lambda: SimpleNamespace(
+        cdf=lambda t: branch_cdf(TAIL_PAIR, t),
+        pdf=lambda t: branch_pdf(TAIL_PAIR, t)), _exponential_min(3.0)),
+    "selective exact": (
+        lambda: end_to_end(Selective((TAIL_PAIR,) * 3)),
+        _max_of(*[_exponential_min(3.0)] * 3)),
+    # first hops: min of three rate-1 hops; second hops: three rate-2
+    "marginal_product": (
+        lambda: end_to_end(Selective((TAIL_PAIR,) * 3,
+                                     formula="marginal_product")),
+        _max_of(_exponential_min(3.0), _exponential_min(6.0))),
+    "all-active one branch": (
+        lambda: end_to_end(AllActive((TAIL_PAIR,))), _exponential_min(3.0)),
+}
+
+
+class TestLowerTail:
+    """Every closed-form composition keeps its relative accuracy as the
+    threshold goes to 0, where 1 - (1 - F1)(1 - F2) would cancel."""
+
+    @pytest.mark.parametrize("tau", [1e-9, 1e-6, 1e-3, 0.5])
+    @pytest.mark.parametrize("name", list(TAIL_LAWS))
+    def test_matches_the_expm1_closed_form(self, name, tau):
+        build, closed = TAIL_LAWS[name]
+        law = build()
+        np.testing.assert_allclose((law.cdf(tau), law.pdf(tau)),
+                                   closed(np.float64(tau)),
+                                   rtol=1e-13, atol=0.0)
 
 
 class TestConvolution:

@@ -7,12 +7,12 @@ and runs the 20 shipped commands on each: capacity-sweep, outage-sweep,
 opra-cutoff, validate and outage-sweep --validate, on each of the four
 shipped configs, at the seed the configs carry.  Prints one line per
 command: "identical", or what differs, with each moved column and the
-largest absolute change of its numbers.  Under capacity-sweep and
-validate it then lists each capacity cell that moved (the
-``capacity_bits_per_hz`` column, or a report's ``analytic`` column) and
-whether the move lies within the base's plus the head's ``quad_error``
-of that cell, the bound a speedup must keep.  Exits 1 if any command's
-stdout, stderr or exit code differs between the revisions.
+largest absolute and the largest relative change of its numbers.
+Under capacity-sweep and validate it then lists each capacity cell that
+moved (the ``capacity_bits_per_hz`` column, or a report's ``analytic``
+column) and whether the move lies within the base's plus the head's
+``quad_error`` of that cell, the bound a speedup must keep.  Exits 1 if
+any command's stdout, stderr or exit code differs between the revisions.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -60,8 +61,16 @@ def is_number(cell: str) -> bool:
     return True
 
 
+def relative_move(x: float, y: float) -> float:
+    """|y - x| relative to |x|; inf when a zero cell moved."""
+    if x == 0.0:
+        return math.inf if y != 0.0 else 0.0
+    return abs(y - x) / abs(x)
+
+
 def moved_columns(base: bytes, head: bytes) -> str:
-    """The columns whose cells differ, each with its largest numeric move.
+    """The columns whose cells differ, each with its largest absolute and
+    its largest relative numeric move.
 
     A column is named by the latest line of words above it (the CSV
     header, or a report's table header), else by its position.  A cell
@@ -70,7 +79,7 @@ def moved_columns(base: bytes, head: bytes) -> str:
     a, b = (cells(out.decode(errors="replace")) for out in (base, head))
     if len(a) != len(b):
         return f"line count {len(a)} -> {len(b)}"
-    moved: dict[str, float | None] = {}
+    moved: dict[str, tuple[float, float] | None] = {}
     header: list[str] = []
     for i, (row_a, row_b) in enumerate(zip(a, b)):
         if row_a and not any(map(is_number, row_a)) and row_a == row_b:
@@ -87,10 +96,14 @@ def moved_columns(base: bytes, head: bytes) -> str:
                     name in moved and moved[name] is None):
                 moved[name] = None
             else:
-                moved[name] = max(moved.get(name, 0.0),
-                                  abs(float(y) - float(x)))
-    return ", ".join(f"{name} text" if diff is None else f"{name} by {diff:.3g}"
-                     for name, diff in moved.items())
+                absolute, relative = moved.get(name, (0.0, 0.0))
+                moved[name] = (
+                    max(absolute, abs(float(y) - float(x))),
+                    max(relative, relative_move(float(x), float(y))))
+    return ", ".join(
+        f"{name} text" if diff is None
+        else f"{name} by {diff[0]:.3g} (relative {diff[1]:.3g})"
+        for name, diff in moved.items())
 
 
 def capacity_cells(command: str, text: str) -> dict[str, tuple[str, str | None]]:
