@@ -68,6 +68,8 @@ def selective_pdf(branches: Sequence[BranchPair], tau, *, formula: str = "exact"
 
 
 def _selective_law(branches, formula: str, t: np.ndarray, density: bool):
+    """Max over the branch minima, or over the first-hop and second-hop
+    minima for ``marginal_product``."""
     laws = _hop_laws(_flat(branches), t, density)
     chains = branches if formula == "exact" else tuple(zip(*branches))
     return _product_law([(*_min_law(chain, laws), 1) for chain in chains])
