@@ -72,7 +72,8 @@ def _selective_law(branches, formula: str, t: np.ndarray, density: bool):
     minima for ``marginal_product``."""
     laws = _hop_laws(_flat(branches), t, density)
     chains = branches if formula == "exact" else tuple(zip(*branches))
-    return _product_law([(*_min_law(chain, laws), 1) for chain in chains])
+    return _product_law([(*_min_law(chain, laws), count)
+                         for chain, count in _grouped(chains)])
 
 
 def _hop_laws(hops: Sequence[FadingModel], t: np.ndarray, density: bool):
@@ -131,20 +132,20 @@ def _check_formula(formula: str) -> None:
         )
 
 
-def _grouped(hops: Sequence[FadingModel]) -> list[tuple[FadingModel, int]]:
-    """Collapse repeated hops so their factors are powers.
+def _grouped(items: Sequence) -> list[tuple[object, int]]:
+    """Collapse repeated hops or branches so their factors are powers.
 
-    Repeats are found by identity: construction interns equal hops into
-    one object (see ``_intern_hops``).
+    Repeats are found by identity: construction interns equal hops and
+    equal branches into one object (see ``_intern_pairs``).
     """
-    groups: list[tuple[FadingModel, int]] = []
-    for hop in hops:
+    groups: list[tuple[object, int]] = []
+    for item in items:
         for i, (seen, count) in enumerate(groups):
-            if seen is hop:
+            if seen is item:
                 groups[i] = (seen, count + 1)
                 break
         else:
-            groups.append((hop, 1))
+            groups.append((item, 1))
     return groups
 
 
@@ -152,7 +153,7 @@ def _flat(branches: Sequence[BranchPair]) -> tuple[FadingModel, ...]:
     return tuple(h for pair in branches for h in pair)
 
 
-def _intern_one(model: FadingModel, seen: list[FadingModel]) -> FadingModel:
+def _intern_one(model, seen: list):
     for s in seen:
         if s == model:
             return s
@@ -173,8 +174,11 @@ def _intern_hops(hops: Sequence[FadingModel]) -> tuple[FadingModel, ...]:
 
 
 def _intern_pairs(branches: Sequence[BranchPair]) -> tuple[BranchPair, ...]:
+    """Intern the hops, then equal branches, so that ``_grouped``
+    composes each distinct branch once."""
     flat = _intern_hops(_flat(branches))
-    return tuple(zip(flat[::2], flat[1::2]))
+    seen: list[BranchPair] = []
+    return tuple(_intern_one(p, seen) for p in zip(flat[::2], flat[1::2]))
 
 
 @dataclass(frozen=True)
@@ -362,24 +366,20 @@ def _all_active_channel(topology: AllActive) -> EndToEndChannel:
     """
     branches = topology.branches
     k = topology.grid_points
-    distinct = {(id(a), id(b)): (a, b) for a, b in branches}
+    distinct = [pair for pair, _ in _grouped(branches)]
     per_branch_cap = max(
         _support_hint(lambda t: branch_cdf(pair, t),
                       max(pair[0].mean, pair[1].mean))
-        for pair in distinct.values()
+        for pair in distinct
     )
     edges = np.linspace(0.0, per_branch_cap, k + 1)
     step = edges[1] - edges[0]
 
+    masses = {id(pair): np.maximum(np.diff(np.asarray(branch_cdf(pair, edges))),
+                                   0.0) for pair in distinct}
     mass = None
-    branch_masses: dict[int, np.ndarray] = {}
     for pair in branches:
-        key = (id(pair[0]), id(pair[1]))
-        m = branch_masses.get(key)
-        if m is None:
-            c = np.asarray(branch_cdf(pair, edges))
-            m = np.maximum(np.diff(c), 0.0)
-            branch_masses[key] = m
+        m = masses[id(pair)]
         mass = m if mass is None else np.maximum(_convolve(mass, m), 0.0)
 
     total = float(mass.sum())

@@ -296,6 +296,8 @@ class TestInterning:
         ))
         assert s.branches[0][0] is s.branches[1][0]
         assert s.branches[0][1] is s.branches[1][1]
+        # equal branches share one pair, so the max rule takes a power
+        assert s.branches[0] is s.branches[1]
 
     def test_distinct_parameters_stay_distinct(self):
         s = Serial(hops=(Exponential(1.0), Exponential(2.0)))
