@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import RelayCapError, RootNotBracketed
+from .errors import DivergentIntegral, RelayCapError, RootNotBracketed
 from .quadrature import integrate, integrate_semi_infinite
 from .topology import EndToEndChannel
 
@@ -89,22 +89,11 @@ def _prelog(prelog: PrelogFactor | float) -> float:
     return PrelogFactor(float(prelog)).value
 
 
-def _scale(ch: EndToEndChannel) -> float:
-    return max(ch.support_hint / 10.0, 1e-12)
-
-
-def _survival(ch: EndToEndChannel) -> Callable[[np.ndarray], np.ndarray]:
-    def sf(g: np.ndarray) -> np.ndarray:
-        return np.clip(1.0 - np.asarray(ch.cdf(g), dtype=float), 0.0, 1.0)
-
-    return sf
-
-
-def _density(ch: EndToEndChannel) -> Callable[[np.ndarray], np.ndarray]:
-    def f(g: np.ndarray) -> np.ndarray:
+def _law(ch: EndToEndChannel, g, density: bool = False) -> np.ndarray:
+    """Clipped survival 1 - F(g), or with ``density`` the clipped f(g)."""
+    if density:
         return np.maximum(np.asarray(ch.pdf(g), dtype=float), 0.0)
-
-    return f
+    return np.clip(1.0 - np.asarray(ch.cdf(g), dtype=float), 0.0, 1.0)
 
 
 def _fold_mass(err: float, ch: EndToEndChannel, capacity: float) -> float:
@@ -121,6 +110,34 @@ def _checked(value: float, err: float) -> tuple[float, float]:
     return value, err
 
 
+def _tail(ch: EndToEndChannel,
+          fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lower: float,
+          *, density: bool = False,
+          rel_tol: float = _REL_TOL) -> tuple[float, float]:
+    """Checked integral over [lower, inf) of fn(g, _law(ch, g, density))."""
+    return _checked(*integrate_semi_infinite(
+        lambda g: fn(g, _law(ch, g, density)), lower,
+        scale=max(ch.support_hint / 10.0, 1e-12), rel_tol=rel_tol,
+    ))
+
+
+def _derived(memo: dict, key: str, compute: Callable[[], object]):
+    """``compute()`` kept under ``key`` in ``memo``, computed once.
+
+    A ``RelayCapError`` that computing raised is kept instead, so every
+    later call raises it again without computing anything.
+    """
+    if key not in memo:
+        try:
+            memo[key] = compute()
+        except RelayCapError as exc:
+            memo[key] = exc
+    got = memo[key]
+    if isinstance(got, RelayCapError):
+        raise got
+    return got
+
+
 def ora(ch: EndToEndChannel,
         prelog: PrelogFactor | float = PrelogFactor()) -> PolicyResult:
     """Constant transmit power, rate tracking the channel.
@@ -129,11 +146,7 @@ def ora(ch: EndToEndChannel,
     the integrated-by-parts form of E[prelog*log2(1+g)].
     """
     pl = _prelog(prelog)
-    sf = _survival(ch)
-    val, err = _checked(*integrate_semi_infinite(
-        lambda g: sf(g) / (1.0 + g), 0.0,
-        scale=_scale(ch), rel_tol=_REL_TOL,
-    ))
+    val, err = _tail(ch, lambda g, s: s / (1.0 + g), 0.0)
     cap = max(pl / LN2 * val, 0.0)
     return PolicyResult(
         capacity=cap,
@@ -156,33 +169,25 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
         # 1/d in the capacity; the by-parts form E = 1 - a*int (1-F) *
         # (1+g)^(-a-1) dg enters only through a, so it stays accurate
         # down to the d -> 0 limit.
-        sf = _survival(ch)
-        tail, err = _checked(*integrate_semi_infinite(
-            lambda g: sf(g) * np.exp(-(a + 1.0) * np.log1p(g)), 0.0,
-            scale=_scale(ch), rel_tol=_REL_TOL,
-        ))
-        val = 1.0 - a * tail
-        err = a * err
+        tail, err = _tail(
+            ch, lambda g, s: s * np.exp(-(a + 1.0) * np.log1p(g)), 0.0)
+        val, err = 1.0 - a * tail, a * err
     else:
-        f = _density(ch)
-        val, err = _checked(*integrate_semi_infinite(
-            lambda g: f(g) * np.exp(-a * np.log1p(g)), 0.0,
-            scale=_scale(ch), rel_tol=_REL_TOL,
-        ))
+        tail = None
+        val, err = _tail(ch, lambda g, f: f * np.exp(-a * np.log1p(g)), 0.0,
+                         density=True)
     if val <= 0.0:
         raise RelayCapError(
             "effective-capacity moment integral collapsed to zero; "
             "the channel density is numerically empty"
         )
-    cap = max(-math.log(val) / d, 0.0)
+    # log1p keeps the digits of a*tail that forming 1 - a*tail drops
+    log_val = math.log(val) if tail is None else math.log1p(-a * tail)
+    cap = max(-log_val / d, 0.0)
     return PolicyResult(
         capacity=cap,
         quad_error=_fold_mass(err / (d * val), ch, cap),
     )
-
-
-class _MomentDiverges(Exception):
-    """Inverse-SNR moment found divergent during octave summation."""
 
 
 def _inverse_moment(ch: EndToEndChannel) -> tuple[float, float]:
@@ -195,15 +200,8 @@ def _inverse_moment(ch: EndToEndChannel) -> tuple[float, float]:
     factor c at every mean.
     """
     base = ch.unit or ch
-    memo = base.memo
-    if "inverse_moment" not in memo:
-        try:
-            memo["inverse_moment"] = _octave_moment(base)
-        except _MomentDiverges:
-            memo["inverse_moment"] = None
-    if memo["inverse_moment"] is None:
-        raise _MomentDiverges
-    m, err = memo["inverse_moment"]
+    m, err = _derived(base.memo, "inverse_moment",
+                      lambda: _octave_moment(base))
     return m / ch.factor, err / ch.factor
 
 
@@ -215,16 +213,15 @@ def _octave_moment(ch: EndToEndChannel) -> tuple[float, float]:
     2^-p.  The rational map alone stalls on that algebraic endpoint;
     summing octaves until the ratio drift is small and closing with a
     geometric tail does not.  The remaining ratio drift brackets the
-    tail, and the bracket width is charged to the error.
+    tail, and the bracket width is charged to the error.  A moment
+    found divergent raises ``DivergentIntegral``.
     """
-    f = _density(ch)
     hi = ch.support_hint
-    total, err = integrate_semi_infinite(
-        lambda g: f(g) / g, hi, scale=_scale(ch), rel_tol=_REL_TOL,
-    )
+    total, err = _tail(ch, lambda g, f: f / g, hi, density=True)
     octaves: list[float] = []
     for _ in range(_MOMENT_OCTAVES):
-        v, e = integrate(lambda g: f(g) / g, 0.5 * hi, hi, rel_tol=_REL_TOL)
+        v, e = integrate(lambda g: _law(ch, g, density=True) / g, 0.5 * hi,
+                         hi, rel_tol=_REL_TOL)
         v = max(float(v), 0.0)
         octaves.append(v)
         total += v
@@ -253,7 +250,7 @@ def _octave_moment(ch: EndToEndChannel) -> tuple[float, float]:
         # octave masses of c*g^(p-1) scale as 2^-p per halving; a ratio
         # bracket touching one means p <= 0 within resolution, i.e. the
         # moment diverges (the log case p = 0 lands here too)
-        raise _MomentDiverges
+        raise DivergentIntegral("inverse-SNR moment diverges")
     t_lo = last * r_lo / (1.0 - r_lo)
     t_hi = last * r_hi / (1.0 - r_hi)
     tail = 0.5 * (t_lo + t_hi)
@@ -273,7 +270,7 @@ def cifr(ch: EndToEndChannel,
     pl = _prelog(prelog)
     try:
         m, err = _checked(*_inverse_moment(ch))
-    except _MomentDiverges:
+    except DivergentIntegral:
         return PolicyResult(
             capacity=0.0,
             quad_error=ch.resolution_error,
@@ -299,11 +296,8 @@ def tcifr(ch: EndToEndChannel, cutoff: float,
     if not cutoff > 0.0:
         raise ValueError(f"tcifr cutoff must be positive, got {cutoff}")
     pl = _prelog(prelog)
-    f = _density(ch)
-    coverage = float(_survival(ch)(cutoff))
-    t, err = _checked(*integrate_semi_infinite(
-        lambda g: f(g) / g, cutoff, scale=_scale(ch), rel_tol=_REL_TOL,
-    ))
+    coverage = float(_law(ch, cutoff))
+    t, err = _tail(ch, lambda g, f: f / g, cutoff, density=True)
     if t <= 0.0 or coverage <= 0.0:
         return PolicyResult(
             capacity=0.0, cutoff=cutoff, quad_error=ch.resolution_error,
@@ -324,11 +318,9 @@ def _cutoff_objective(ch: EndToEndChannel, x: float) -> tuple[float, float]:
     to +inf at the origin and is non-positive at 1, so it brackets one
     root in (0, 1].
     """
-    sf = float(_survival(ch)(x))
-    f = _density(ch)
-    tail, _ = integrate_semi_infinite(
-        lambda g: f(g) / g, x, scale=_scale(ch), rel_tol=_CUTOFF_REL_TOL,
-    )
+    sf = float(_law(ch, x))
+    tail, _ = _tail(ch, lambda g, f: f / g, x, density=True,
+                    rel_tol=_CUTOFF_REL_TOL)
     return sf / x - tail - 1.0, -sf / (x * x)
 
 
@@ -390,34 +382,36 @@ def _cutoff_solve(ch: EndToEndChannel) -> CutoffSolve:
     return CutoffSolve(0.5 * (lo + hi), evals, abs(g_val))
 
 
+def _cutoff(ch: EndToEndChannel) -> CutoffSolve:
+    """The cutoff solve, or its error, once per channel (a cutoff is not
+    scale-equivariant, so the memo of the unit law cannot hold it)."""
+    return _derived(ch.memo, "cutoff", lambda: _cutoff_solve(ch))
+
+
 def opra_cutoff(ch: EndToEndChannel) -> float:
     """Cutoff SNR below which joint power/rate adaptation suspends.
 
     Solves integral_x^inf (1/x - 1/g) f(g) dg = 1 by Newton-Raphson
     from 0.5 with a maintained bracket and bisection fallback; the
     root lies in (0, 1] for any well-posed channel and the solver
-    raises ``RootNotBracketed`` otherwise instead of clamping.
+    raises ``RootNotBracketed`` otherwise instead of clamping.  Each
+    channel is solved once; later calls read the solve or its error.
     """
-    return _cutoff_solve(ch).root
+    return _cutoff(ch).root
 
 
 def opra_cutoff_details(ch: EndToEndChannel) -> CutoffSolve:
     """Cutoff solve with iteration count and final residual."""
-    return _cutoff_solve(ch)
+    return _cutoff(ch)
 
 
-def _opra_from_cutoff(ch: EndToEndChannel, pl: float, root: float,
-                      evals: int | None) -> PolicyResult:
-    sf = _survival(ch)
-    f = _density(ch)
-    val, e_sf = _checked(*integrate_semi_infinite(
-        lambda g: sf(g) / g, root, scale=_scale(ch), rel_tol=_REL_TOL,
-    ))
+def _opra(ch: EndToEndChannel, pl: float) -> PolicyResult:
+    solve = _cutoff(ch)
+    root = solve.root
+    val, e_sf = _tail(ch, lambda g, s: s / g, root)
     # Independent route: E[log(g/cutoff); g > cutoff], equal by parts.
-    chk, e_f = _checked(*integrate_semi_infinite(
-        lambda g: f(g) * np.log(g / root), root,
-        scale=_scale(ch), rel_tol=_REL_TOL,
-    ))
+    chk, e_f = _tail(ch, lambda g, f: f * np.log(g / root), root,
+                     density=True)
     cap = max(pl / LN2 * val, 0.0)
     cross = pl / LN2 * chk
     err = _fold_mass(pl / LN2 * (e_sf + e_f), ch, cap)
@@ -430,7 +424,7 @@ def _opra_from_cutoff(ch: EndToEndChannel, pl: float, root: float,
         )
     return PolicyResult(
         capacity=cap, cutoff=root, quad_error=err,
-        iterations=evals, cross_check=cross, diagnostic=diagnostic,
+        iterations=solve.iterations, cross_check=cross, diagnostic=diagnostic,
     )
 
 
@@ -444,9 +438,7 @@ def opra(ch: EndToEndChannel,
     law (even a point mass at m has one, at m/(m+1)); only a
     numerically broken channel surfaces as ``RootNotBracketed``.
     """
-    pl = _prelog(prelog)
-    solve = _cutoff_solve(ch)
-    return _opra_from_cutoff(ch, pl, solve.root, solve.iterations)
+    return _opra(ch, _prelog(prelog))
 
 
 _POLICY_NAMES = ("cifr", "effective", "opra", "ora", "tcifr")
@@ -507,21 +499,7 @@ class SweepRow:
     error: str | None = None
 
 
-def _shared_cutoff(ch: EndToEndChannel, cache: dict) -> CutoffSolve:
-    """Solve the cutoff once per sweep point, errors included."""
-    if "cutoff" not in cache:
-        try:
-            cache["cutoff"] = _cutoff_solve(ch)
-        except RelayCapError as exc:
-            cache["cutoff"] = exc
-    got = cache["cutoff"]
-    if isinstance(got, RelayCapError):
-        raise got
-    return got
-
-
-def _eval_policy(ch: EndToEndChannel, spec: PolicySpec,
-                 cache: dict) -> PolicyResult:
+def _eval_policy(ch: EndToEndChannel, spec: PolicySpec) -> PolicyResult:
     pl = PrelogFactor(spec.prelog)
     if spec.name == "ora":
         return ora(ch, pl)
@@ -531,22 +509,17 @@ def _eval_policy(ch: EndToEndChannel, spec: PolicySpec,
         return cifr(ch, pl)
     if spec.name == "tcifr":
         cut = spec.cutoff
-        if cut is None:
-            cut = _shared_cutoff(ch, cache).root
-        return tcifr(ch, cut, pl)
-    solve = _shared_cutoff(ch, cache)
-    return _opra_from_cutoff(ch, pl.value, solve.root, solve.iterations)
+        return tcifr(ch, _cutoff(ch).root if cut is None else cut, pl)
+    return _opra(ch, pl.value)
 
 
-def evaluate(ch: EndToEndChannel, spec: PolicySpec,
-             cache: dict | None = None) -> PolicyResult:
+def evaluate(ch: EndToEndChannel, spec: PolicySpec) -> PolicyResult:
     """Evaluate one policy on one channel.
 
-    Pass the same ``cache`` dict across calls on the same channel to
-    reuse the solved cutoff between ``opra`` and a cutoff-less
-    ``tcifr``.
+    ``opra`` and a cutoff-less ``tcifr`` share the channel's one
+    cutoff solve.
     """
-    return _eval_policy(ch, spec, {} if cache is None else cache)
+    return _eval_policy(ch, spec)
 
 
 def sweep(
@@ -557,8 +530,8 @@ def sweep(
     """Evaluate policies over an average-SNR grid (dB).
 
     ``ch_factory`` maps a linear mean SNR to an end-to-end channel;
-    it is called once per grid point, and the point's solved cutoff is
-    shared between ``opra`` and a cutoff-less ``tcifr``.  Per-cell
+    it is called once per grid point, and ``opra`` and a cutoff-less
+    ``tcifr`` share that point's one cutoff solve.  Per-cell
     failures are recorded on the row instead of aborting the sweep.
     """
     specs = [p if isinstance(p, PolicySpec) else PolicySpec(name=str(p))
@@ -579,10 +552,9 @@ def sweep(
                 SweepRow(snr_db, s.label, None, str(exc)) for s in specs
             )
             continue
-        cache: dict = {}
         for s in specs:
             try:
-                rows.append(SweepRow(snr_db, s.label, _eval_policy(ch, s, cache)))
+                rows.append(SweepRow(snr_db, s.label, _eval_policy(ch, s)))
             except RelayCapError as exc:
                 rows.append(SweepRow(snr_db, s.label, None, str(exc)))
     return rows

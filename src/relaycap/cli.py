@@ -262,6 +262,14 @@ def _finite_numbers(raw: list, where: str) -> list[float]:
     return values
 
 
+def _taus(cfg: dict) -> list[float]:
+    """The outage thresholds, which must be sorted ascending."""
+    taus = grid_from_config(cfg, "taus")
+    if any(b < a for a, b in zip(taus, taus[1:])):
+        raise ConfigError("taus must be sorted ascending")
+    return taus
+
+
 def _snr_points(values: list[float], where: str) -> list[float]:
     """dB values within ``SNR_DB_LIMIT`` of 0 dB."""
     for snr_db in values:
@@ -395,9 +403,7 @@ def cmd_outage_sweep(args) -> int:
     _output_block_checked(cfg)
     topology = topology_from_config(cfg.get("topology", {}))
     grid = _snr_grid(cfg)
-    taus = grid_from_config(cfg, "taus")
-    if any(b < a for a, b in zip(taus, taus[1:])):
-        raise ConfigError("taus must be sorted ascending")
+    taus = _taus(cfg)
     validate = bool(args.validate)
     if validate:
         sim_cfg, _ = mc_from_config(cfg, args)
@@ -483,9 +489,7 @@ def cmd_validate(args) -> int:
     specs = policies_from_config(cfg)
     sim_cfg, val_snr = mc_from_config(cfg, args)
     snr_points = val_snr if val_snr is not None else _snr_grid(cfg)
-    taus = grid_from_config(cfg, "taus")
-    if any(b < a for a, b in zip(taus, taus[1:])):
-        raise ConfigError("taus must be sorted ascending")
+    taus = _taus(cfg)
 
     lines: list[str] = []
     lines.append("relaycap validation report")
@@ -510,10 +514,9 @@ def cmd_validate(args) -> int:
     for snr_db in snr_points:
         mean = _mean_snr(snr_db)
         ch = factory(mean)
-        cache: dict = {}
         analytic: dict[str, capacity.PolicyResult] = {}
         for spec in specs:
-            analytic[spec.label] = capacity.evaluate(ch, spec, cache)
+            analytic[spec.label] = capacity.evaluate(ch, spec)
         requests = [
             PolicyRequest(name=spec.name, prelog=spec.prelog,
                           qos_delta=spec.qos_delta,

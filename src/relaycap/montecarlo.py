@@ -89,7 +89,6 @@ class SimReport:
     empirical_cdf: tuple[tuple[float, float, float], ...]
     capacity_estimates: dict[str, tuple[float, float]]
     sample_mean: float
-    sample_count: int
     diagnostics: dict[str, str] = field(default_factory=dict)
 
 
@@ -111,32 +110,28 @@ def _mean_se(s: float, s2: float, n: int) -> tuple[float, float]:
     return m, math.sqrt(var / n)
 
 
-def _policy_batch(req: PolicyRequest, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Partial sums of one batch; second item is an order-statistic aux."""
+def _policy_batch(req: PolicyRequest, g: np.ndarray) -> np.ndarray:
+    """Sum v, sum v^2, draws at or above the cutoff (all draws when the
+    policy has none) and max v of one batch, for the policy's term v."""
     pl = req.prelog
+    above = g >= req.cutoff if req.cutoff is not None else None
     if req.name == "ora":
         v = pl * np.log2(1.0 + g)
     elif req.name == "opra":
-        above = g >= req.cutoff
         v = np.where(above, pl * np.log2(np.maximum(g, req.cutoff) / req.cutoff),
                      0.0)
-        return np.array([v.sum(), float(v @ v), float(above.sum())]), 0.0
     elif req.name == "effective":
-        a = req.qos_delta * pl / LN2
-        v = np.exp(-a * np.log1p(g))
         # the mean can concentrate on the few smallest draws, exactly
-        # like the inverse moment, so track the same share statistic
-        return np.array([v.sum(), float(v @ v)]), float(v.max(initial=0.0))
-    elif req.name == "cifr":
+        # like the inverse moment, so max v feeds the same share check
+        v = np.exp(-req.qos_delta * pl / LN2 * np.log1p(g))
+    else:
+        # cifr, or tcifr: E[t*k] = E[t] and k^2 = k, so the count serves
+        # as both the coverage sum and its sum of squares
         with np.errstate(divide="ignore"):
-            x = 1.0 / g
-        return np.array([x.sum(), float(x @ x)]), float(x.max(initial=0.0))
-    else:  # tcifr; E[t*k] = E[t] and k^2 = k, so three sums suffice
-        above = g >= req.cutoff
-        with np.errstate(divide="ignore"):
-            t = np.where(above, 1.0 / g, 0.0)
-        return np.array([t.sum(), float(t @ t), float(above.sum())]), 0.0
-    return np.array([v.sum(), float(v @ v)]), 0.0
+            v = 1.0 / g if above is None else np.where(above, 1.0 / g, 0.0)
+    count = g.size if above is None else above.sum()
+    return np.array([v.sum(), float(v @ v), float(count),
+                     float(v.max(initial=0.0))])
 
 
 def _share_diagnostic(moment: str, largest: float, total: float) -> str | None:
@@ -148,7 +143,7 @@ def _share_diagnostic(moment: str, largest: float, total: float) -> str | None:
     return None
 
 
-def _policy_value(req: PolicyRequest, vec: np.ndarray, aux: float,
+def _policy_value(req: PolicyRequest, vec: np.ndarray,
                   n: int) -> tuple[float, float, str | None]:
     pl = req.prelog
     if req.name == "ora":
@@ -162,13 +157,13 @@ def _policy_value(req: PolicyRequest, vec: np.ndarray, aux: float,
         m, se_m = _mean_se(vec[0], vec[1], n)
         d = req.qos_delta
         return (max(-math.log(m) / d, 0.0), se_m / (d * m),
-                _share_diagnostic("QoS moment", aux, vec[0]))
+                _share_diagnostic("QoS moment", vec[3], vec[0]))
     if req.name == "cifr":
         m, se_m = _mean_se(vec[0], vec[1], n)
         if not math.isfinite(m) or m <= 0.0:
             return 0.0, 0.0, "inverse-SNR sample mean overflowed"
         return (pl / LN2 * math.log1p(1.0 / m), pl / LN2 * se_m / (m * m + m),
-                _share_diagnostic("inverse-SNR moment", aux, vec[0]))
+                _share_diagnostic("inverse-SNR moment", vec[3], vec[0]))
     # tcifr: delta method on the (truncated inverse moment, coverage) pair
     t_mean = vec[0] / n
     k_mean = vec[2] / n
@@ -240,8 +235,7 @@ def simulate(
             g = point.scale * unit
             counts = np.searchsorted(point.scale * ordered, taus_arr,
                                      side="right")
-            moments = np.array([g.sum(), float(g @ g)])
-            partials.append((counts, moments,
+            partials.append((counts, g.sum(),
                              [_policy_batch(r, g) for r in point.policies]))
         return partials
 
@@ -258,15 +252,14 @@ def _report(reqs: Sequence[PolicyRequest], taus_arr: np.ndarray, n: int,
             batches: Iterable[tuple]) -> SimReport:
     """Merge one point's per-batch partial sums, in batch order."""
     counts = np.zeros(taus_arr.size, dtype=np.int64)
-    moments = np.zeros(2)
-    vecs = [np.zeros(3) for _ in reqs]
-    auxs = [0.0 for _ in reqs]
-    for b_counts, b_moments, b_partials in batches:
+    total = 0.0
+    vecs = [np.zeros(4) for _ in reqs]
+    for b_counts, b_total, b_vecs in batches:
         counts += b_counts
-        moments += b_moments
-        for i, (vec, aux) in enumerate(b_partials):
-            vecs[i] = vecs[i][: vec.size] + vec
-            auxs[i] = max(auxs[i], aux)
+        total += b_total
+        for vec, b_vec in zip(vecs, b_vecs):
+            vec[:3] += b_vec[:3]
+            vec[3] = max(vec[3], b_vec[3])
 
     p = counts / n
     se = np.sqrt(p * (1.0 - p) / n)
@@ -276,16 +269,15 @@ def _report(reqs: Sequence[PolicyRequest], taus_arr: np.ndarray, n: int,
     )
     estimates: dict[str, tuple[float, float]] = {}
     diagnostics: dict[str, str] = {}
-    for req, vec, aux in zip(reqs, vecs, auxs):
-        value, err, diag = _policy_value(req, vec, aux, n)
+    for req, vec in zip(reqs, vecs):
+        value, err, diag = _policy_value(req, vec, n)
         estimates[req.label] = (value, err)
         if diag is not None:
             diagnostics[req.label] = diag
     return SimReport(
         empirical_cdf=cdf_rows,
         capacity_estimates=estimates,
-        sample_mean=float(moments[0] / n),
-        sample_count=n,
+        sample_mean=float(total / n),
         diagnostics=diagnostics,
     )
 

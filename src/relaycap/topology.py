@@ -266,9 +266,10 @@ class EndToEndChannel:
     discretisation (zero for the closed compositions); capacity
     integrals fold it into their reported error.  A channel made by
     ``scaled`` is the law of ``factor * X`` for the SNR ``X`` of its
-    ``unit`` channel; ``memo`` keeps quantities derived from a law
-    (capacity stores the inverse-SNR moment there), so every channel
-    scaled from one unit law reads the same entries.
+    ``unit`` channel; ``memo`` keeps quantities derived from a law.
+    Capacity stores the inverse-SNR moment in the unit law's memo, so
+    every channel scaled from it reads the same entry, and the opra
+    cutoff, which does not scale, in each channel's own memo.
     """
 
     cdf: Callable

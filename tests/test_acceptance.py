@@ -168,9 +168,8 @@ def matrix():
         for topo_name, topo in _topologies(model).items():
             for snr_db in SNRS_DB:
                 ch = end_to_end(topo.with_mean_snr(10.0 ** (snr_db / 10.0)))
-                cache: dict = {}
                 res = {
-                    name: capacity.evaluate(ch, spec, cache)
+                    name: capacity.evaluate(ch, spec)
                     for name, spec in (
                         ("opra", PolicySpec(name="opra")),
                         ("ora", PolicySpec(name="ora")),

@@ -19,9 +19,15 @@ from relaycap.capacity import (
     evaluate,
     sweep,
 )
-from relaycap.errors import RelayCapError
+from relaycap.errors import RelayCapError, RootNotBracketed
 from relaycap.fading import Exponential, Gamma
-from relaycap.topology import AllActive, Selective, Serial, end_to_end
+from relaycap.topology import (
+    AllActive,
+    EndToEndChannel,
+    Selective,
+    Serial,
+    end_to_end,
+)
 
 # Exp(1) single hop, prelog 1/2:
 #   ora  = (1/2) log2(e) * e * E1(1)
@@ -208,6 +214,14 @@ class TestEffective:
         assert abs(eff.capacity - ora.capacity) < 1e-3
         assert eff.capacity < ora.capacity  # QoS can only cost capacity
 
+    @pytest.mark.parametrize("delta", [1e-10, 1e-12, 1e-14])
+    def test_tiny_delta_stays_at_or_below_ora(self, exp1, delta):
+        # -log(1 - a*tail) loses the digits of a*tail that the difference
+        # rounds away, and 1/d amplifies the loss; log1p keeps them
+        ora = capacity.ora(exp1).capacity
+        eff = capacity.effective(exp1, EffectiveCapacityParams(delta))
+        assert 0.0 <= ora - eff.capacity <= 1e-6 * ora
+
     def test_monotone_in_delta(self, exp1):
         caps = [
             capacity.effective(exp1, EffectiveCapacityParams(d)).capacity
@@ -249,11 +263,61 @@ class TestPolicySpec:
             == "effective[delta=0.5]"
 
 
+class TestOneCutoffSolvePerChannel:
+    """opra, opra_cutoff, opra_cutoff_details and a cutoff-less tcifr
+    read one cutoff solve, or its error, from the channel's memo."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = capacity._cutoff_solve
+
+        def counted(ch):
+            calls.append(ch)
+            return solve(ch)
+
+        monkeypatch.setattr(capacity, "_cutoff_solve", counted)
+        return calls
+
+    CALLS = (
+        capacity.opra,
+        capacity.opra_cutoff,
+        capacity.opra_cutoff_details,
+        lambda ch: evaluate(ch, PolicySpec(name="opra")),
+        lambda ch: evaluate(ch, PolicySpec(name="tcifr")),
+    )
+
+    def test_every_cutoff_user_shares_one_solve(self, solves):
+        ch = end_to_end(Serial(hops=(Exponential(1.0),)))
+        results = [call(ch) for call in self.CALLS]
+        assert len(solves) == 1
+        root = results[1]
+        assert results[0].cutoff == results[2].root == root
+        assert results[3].cutoff == results[4].cutoff == root
+
+    def test_a_failed_solve_raises_again_without_solving(self, solves):
+        # no survival anywhere: the cutoff objective is -1 at every x
+        ch = EndToEndChannel(cdf=np.ones_like, pdf=np.zeros_like,
+                             support_hint=1.0)
+        for call in self.CALLS:
+            with pytest.raises(RootNotBracketed):
+                call(ch)
+        assert len(solves) == 1
+
+    def test_scaled_channels_keep_their_own_cutoff(self, solves):
+        # a cutoff is not scale-equivariant, so it is kept per channel,
+        # not in the memo of the shared unit law
+        unit = end_to_end(Serial(hops=(Exponential(1.0),)))
+        roots = [capacity.opra_cutoff(unit.scaled(c)) for c in (1.0, 10.0)]
+        assert len(solves) == 2
+        assert roots[0] == pytest.approx(OPRA_CUTOFF_EXP1, abs=1e-9)
+        assert roots[0] < roots[1]
+
+
 class TestEvaluateAndSweep:
     def test_shared_cutoff_between_opra_and_tcifr(self, exp1):
-        cache: dict = {}
-        opra = evaluate(exp1, PolicySpec(name="opra"), cache)
-        tcifr = evaluate(exp1, PolicySpec(name="tcifr"), cache)
+        opra = evaluate(exp1, PolicySpec(name="opra"))
+        tcifr = evaluate(exp1, PolicySpec(name="tcifr"))
         pinned = capacity.tcifr(exp1, opra.cutoff)
         assert tcifr.cutoff == opra.cutoff
         assert tcifr.capacity == pytest.approx(pinned.capacity, rel=1e-12)

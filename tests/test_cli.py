@@ -131,6 +131,13 @@ class TestConfigLoading:
         assert run(["outage-sweep", "--config",
                     write_config(tmp_path, cfg)]) == 1
 
+    def test_unsorted_taus_in_validate(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["taus"] = [2.0, 1.0]
+        assert run(["validate", "--config",
+                    write_config(tmp_path, cfg)]) == 1
+        assert "taus must be sorted ascending" in capsys.readouterr().err
+
     def test_grid_range_form(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY))
         cfg["snr_grid_db"] = {"start": 0.0, "stop": 10.0, "step": 5.0}

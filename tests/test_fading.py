@@ -398,6 +398,28 @@ class TestBenchTracerHooks:
             for kind in ("cdf", "pdf"):
                 assert not hasattr(getattr(type(model), kind), "__wrapped__")
 
+    def test_cutoff_evals_counted_once_per_solve(self):
+        # sweep reaches opra through a private path, not the traced
+        # opra or evaluate, so each solve's iterations count once
+        from relaycap import capacity
+        from relaycap.topology import Serial, end_to_end
+
+        def factory(mean):
+            hop = Exponential(mean)
+            return end_to_end(Serial(hops=(hop, hop)))
+
+        tracer = _bench_tracer()
+        try:
+            tracer.install()
+            rows = capacity.sweep(factory, ["opra", "tcifr"], [0.0, 10.0])
+        finally:
+            tracer.uninstall()
+        assert all(r.error is None for r in rows)
+        iterations = sum(r.result.iterations for r in rows
+                         if r.policy == "opra")
+        assert iterations > 0
+        assert tracer.counts["capacity.cutoff_evals"] == iterations
+
 
 class TestModelFromConfig:
     def test_round_trip(self):
