@@ -30,7 +30,7 @@ _CUTOFF_MAX_NEWTON = 100
 _MOMENT_OCTAVES = 32
 _MOMENT_MIN_OCTAVES = 8
 _MOMENT_DRIFT_TOL = 1e-4
-_EFFECTIVE_PARTS_LIMIT = 0.01  # moment exponent below which by-parts wins
+_EFFECTIVE_PARTS_LIMIT = 0.01  # a or a * support below which by-parts wins
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,12 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
     pl = _prelog(prelog)
     d = params.qos_delta
     a = d * pl / LN2
-    if a <= _EFFECTIVE_PARTS_LIMIT:
+    if min(a, a * ch.support_hint) <= _EFFECTIVE_PARTS_LIMIT:
         # Density-form quadrature noise on the moment is amplified by
         # 1/d in the capacity; the by-parts form E = 1 - a*int (1-F) *
         # (1+g)^(-a-1) dg enters only through a, so it stays accurate
-        # down to the d -> 0 limit.
+        # down to the d -> 0 limit.  It does the same when the channel
+        # barely reaches past 0 (low SNR), where 1 - E is small too.
         tail, err = _tail(
             ch, lambda g, s: s * np.exp(-(a + 1.0) * np.log1p(g)), 0.0)
         val, err = 1.0 - a * tail, a * err

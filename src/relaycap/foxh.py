@@ -265,22 +265,26 @@ def _oscillatory_sums(w: np.ndarray, t: np.ndarray, ln_x: np.ndarray):
     The integrand is conjugate-symmetric in t for real parameters, so
     the value is accumulated from symmetric pairs (which is exactly
     real); the leftover imaginary part of the raw sum is returned as a
-    rounding diagnostic.
+    rounding diagnostic.  ``t`` is uniform and symmetric about 0: an
+    odd-length set holds the centre node t = 0, an even-length one (a
+    refinement level's new odd nodes) has none.
 
     On a half-line of uniform nodes the phase of node aB + b factors
     into exp(-i t_aB ln x) exp(-i (t_b - t_0) ln x).  One matrix product
     sums each block of B = ``_PHASE_BLOCK`` weights against the B x nx
     in-block table; the A block sums are then weighted by the A x nx
-    block-start table and added.  The t <= 0 half enters as conj(w) and
+    block-start table and added.  The t < 0 half enters as conj(w) and
     shares both tables; the sum changes only in order and rounding.
     """
-    half = (len(t) - 1) // 2
+    half = len(t) // 2  # first node of the t >= 0 half
     t_pos = t[half:]
     block = min(_PHASE_BLOCK, len(t_pos))  # B
     rows = -(-len(t_pos) // block)  # A
     weights = np.zeros((2, rows * block), dtype=complex)
-    weights[:, : len(t_pos)] = w[half:], np.conj(w[half::-1])  # t >= 0, t <= 0
-    weights[:, 0] *= 0.5  # t = 0 shared between the two half-lines
+    # t >= 0, then t <= 0 mirrored
+    weights[:, : len(t_pos)] = w[half:], np.conj(w[len(t) - half - 1::-1])
+    if len(t) % 2:
+        weights[:, 0] *= 0.5  # t = 0 shared between the two half-lines
     weights = weights.reshape(2 * rows, block)
 
     total = np.empty(ln_x.shape, dtype=complex)
@@ -327,7 +331,10 @@ def mellin_barnes(
     # memoised; only the phase sums below see the arguments.
     half = memo.truncation(contour, weight_power)
 
-    # Stage 2: trapezoid refinement at fixed truncation.
+    # Stage 2: nested trapezoid refinement at fixed truncation.  Level
+    # 2n - 1 keeps level n's nodes as its even nodes, so its raw sum is
+    # level n's, rescaled to the new peak, plus the sum over its n - 1
+    # new odd nodes (a symmetric set without the centre node).
     n = 1025
     prev = None
     prev_scale = None
@@ -336,7 +343,13 @@ def mellin_barnes(
     while True:
         t, re_max, w, w_abs = memo.level(contour, weight_power, half, n)
         step = 2.0 * half / (n - 1)
-        sums, resid = _oscillatory_sums(w, t, ln_x)
+        if prev is None:
+            sums, resid = _oscillatory_sums(w, t, ln_x)
+        else:
+            odd_sums, odd_resid = _oscillatory_sums(w[1::2], t[1::2], ln_x)
+            rescale = math.exp(prev_scale - re_max)
+            sums = sums * rescale + odd_sums
+            resid = resid * rescale + odd_resid
         cur = sums * (step / (2.0 * math.pi))
         cur_resid = np.abs(resid) * (step / (2.0 * math.pi))
         floor = w_abs * (step / (2.0 * math.pi)) * 1e-15
@@ -481,6 +494,7 @@ class _ThetaCache:
         self._fn = fn
         self._halves: dict[tuple, float] = {}
         self._levels: dict[tuple, tuple] = {}
+        self._logs: dict[tuple, np.ndarray] = {}  # awaiting the next level
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return self._fn(s)
@@ -517,17 +531,34 @@ class _ThetaCache:
         return half
 
     def level(self, contour: ContourSpec, weight_power, half: float, n: int):
-        """(t, re_max, w, sum |w|) of the n-node trapezoid level."""
+        """(t, re_max, w, sum |w|) of the n-node trapezoid level.
+
+        An odd n reuses the log-integrand of level (n + 1) // 2, whose
+        nodes are this level's even nodes, and evaluates θ only at the
+        new odd nodes.  That coarse log-integrand is consumed here; when
+        it is missing (never built, or lost to a store clear) every node
+        is evaluated, with bitwise the same result.
+        """
         key = (contour, weight_power, half, n)
         hit = self._levels.get(key)
         if hit is None:
             t = np.linspace(-half, half, n)
-            lg = self._log_integrand(contour.c + 1j * t, weight_power)
+            coarse = (self._logs.pop((contour, weight_power, half,
+                                      (n + 1) // 2), None)
+                      if n % 2 else None)
+            if coarse is None:
+                lg = self._log_integrand(contour.c + 1j * t, weight_power)
+            else:
+                lg = np.empty(n, dtype=complex)
+                lg[::2] = coarse
+                lg[1::2] = self._log_integrand(contour.c + 1j * t[1::2],
+                                               weight_power)
             re_max = float(lg.real.max())
             w = np.exp(lg - re_max)
             w[0] *= 0.5
             w[-1] *= 0.5
             hit = (_frozen(t), re_max, _frozen(w), float(np.sum(np.abs(w))))
+            _put(self._logs, key, _frozen(lg))
             _put(self._levels, key, hit)
         return hit
 
@@ -582,7 +613,9 @@ def fused_series_theta(
             terms[k] = lw[k] + ladder
             ladder = ladder + np.log(k + s)
         m = terms.real.max(axis=0)
-        mix = np.log(np.sum(np.exp(terms - m), axis=0)) + m
+        np.subtract(terms, m, out=terms)
+        np.exp(terms, out=terms)
+        mix = np.log(np.sum(terms, axis=0)) + m
         return acc + mix
 
     return fn

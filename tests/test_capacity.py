@@ -47,6 +47,12 @@ EFFECTIVE_EXP1 = {
     1e-3: 0.43012782613979944,
     1e-4: 0.43016910433638639,
 }
+# Exp(mean 10^(snr_db/10)), delta 1: the same integral at 40 digits
+EFFECTIVE_EXP_LOW_SNR = {
+    -100.0: 7.213475203463298e-11,
+    -60.0: 7.213465389284471e-07,
+    -40.0: 7.212493946551888e-05,
+}
 # Gamma(shape 2, mean 1): E[1/g] = 2, so cifr = (1/2) log2(1.5);
 # truncated at 0.5: moment 2 e^-1, survival 2 e^-1
 CIFR_GAMMA2 = 0.2924812503605781
@@ -221,6 +227,16 @@ class TestEffective:
         ora = capacity.ora(exp1).capacity
         eff = capacity.effective(exp1, EffectiveCapacityParams(delta))
         assert 0.0 <= ora - eff.capacity <= 1e-6 * ora
+
+    @pytest.mark.parametrize("snr_db", sorted(EFFECTIVE_EXP_LOW_SNR))
+    def test_low_snr_matches_mpmath(self, exp1, snr_db):
+        # 1 - E[(1+g)^-a] is of the order of the mean here, so only the
+        # by-parts form keeps its relative digits
+        ch = exp1.scaled(10.0 ** (snr_db / 10.0))
+        want = EFFECTIVE_EXP_LOW_SNR[snr_db]
+        eff = capacity.effective(ch, EffectiveCapacityParams(1.0))
+        assert eff.capacity == pytest.approx(want, rel=1e-12)
+        assert eff.capacity <= capacity.ora(ch).capacity
 
     def test_monotone_in_delta(self, exp1):
         caps = [

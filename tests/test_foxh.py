@@ -20,6 +20,7 @@ from relaycap.errors import (
     NonPositiveScale,
     PoleAtNonPositiveInteger,
 )
+from relaycap.fading import Malaga
 from relaycap.foxh import HParams
 
 # mpmath.loggamma reference points, frozen
@@ -364,12 +365,17 @@ class TestThetaCache:
 
 
 def dense_oscillatory_sums(w, t, ln_x):
-    """The trapezoid sum written out: one phase per node and argument."""
-    half = (len(t) - 1) // 2
+    """The trapezoid sum written out: one phase per node and argument.
+
+    An odd-length ``t`` holds the centre node t = 0, shared by both
+    half-lines; an even-length one has none.
+    """
+    half = len(t) // 2
     w_pos = w[half:].copy()
-    w_neg = w[half::-1].copy()
-    w_pos[0] *= 0.5
-    w_neg[0] *= 0.5
+    w_neg = w[len(t) - half - 1::-1].copy()
+    if len(t) % 2:
+        w_pos[0] *= 0.5
+        w_neg[0] *= 0.5
     vals, resid = [], []
     for lx in np.array_split(ln_x, max(1, len(ln_x) // 1000)):
         phase = np.exp(-1j * np.outer(t[half:], lx))
@@ -419,6 +425,131 @@ class TestOscillatorySums:
         assert np.max(np.abs(resid - want_resid)) <= tol
         if symmetric:
             assert np.max(np.abs(resid)) <= tol
+
+    # a refinement level's new odd nodes: 2 * half nodes, no centre;
+    # half = 240 leaves a ragged last block of 16, half = 1024 takes two
+    # chunks of the 25,000 arguments
+    @pytest.mark.parametrize("half", [512, 1024, 240])
+    @pytest.mark.parametrize("batch", sorted(batches))
+    @pytest.mark.parametrize("symmetric", [True, False],
+                             ids=["conjugate_symmetric", "asymmetric"])
+    def test_no_centre_node_matches_dense_sum(self, half, batch, symmetric):
+        w, t = self.weights(4 * half + 1, symmetric)
+        w, t = w[1::2], t[1::2]
+        assert len(t) == 2 * half and np.all(t[half:] > 0.0)
+        ln_x = self.batches[batch]
+        vals, resid = foxh._oscillatory_sums(w, t, ln_x)
+        want_vals, want_resid = dense_oscillatory_sums(w, t, ln_x)
+        tol = 4e-15 * float(np.sum(np.abs(w)))
+        assert np.max(np.abs(vals - want_vals)) <= tol
+        assert np.max(np.abs(resid - want_resid)) <= tol
+        if symmetric:
+            assert np.max(np.abs(resid)) <= tol
+
+
+class TestNestedRefinement:
+    """Level 2n - 1 reuses level n's nodes and sums only its new ones."""
+
+    GG = TestThetaCache.PARAMS
+    MALAGA = Malaga(alpha=2.296, beta=1.822, omega_prime=1.3265, b0=0.1079,
+                    rho=0.596, series_terms=320)
+    BATCH = np.geomspace(1e-3, 40.0, 57)
+
+    @classmethod
+    def kernels(cls):
+        """(memo factory, contour, weight_power, arguments) per kernel."""
+        gg = lambda: foxh.cached_theta(foxh.log_theta(cls.GG))  # noqa: E731
+        m = cls.MALAGA
+        delta, lk = m._kernel
+        malaga = lambda: foxh.cached_theta(  # noqa: E731
+            foxh.fused_series_theta(((m.alpha - 1.0, 1.0),), lk))
+        return {
+            "gamma_gamma_pdf": (gg, foxh.select_contour(cls.GG), None,
+                                cls.BATCH),
+            "gamma_gamma_cdf": (gg, foxh.select_contour(cls.GG,
+                                                        upper_bound=1.0),
+                                0.0, cls.BATCH),
+            "malaga_pdf": (malaga, m._pdf_contour, None, delta * cls.BATCH),
+            "malaga_cdf": (malaga, m._cdf_contour, 0.0, delta * cls.BATCH),
+        }
+
+    @pytest.mark.parametrize("half", [0.7, 37.3, 60.0, 120.0, 960.0])
+    def test_even_nodes_are_the_coarse_level(self, half):
+        n = 1025
+        while n <= 65537:
+            fine = np.linspace(-half, half, 2 * n - 1)
+            np.testing.assert_array_equal(fine[::2],
+                                          np.linspace(-half, half, n))
+            n = 2 * n - 1
+
+    def test_theta_evaluated_once_per_node(self):
+        m = self.MALAGA
+        fused = foxh.fused_series_theta(((m.alpha - 1.0, 1.0),), m._kernel[1])
+        sizes = []
+
+        def counted(s):
+            sizes.append(np.size(s))
+            return fused(s)
+
+        memo = foxh.cached_theta(counted)
+        contour = m._pdf_contour
+        half = memo.truncation(contour, None)
+        for n in (1025, 2049, 4097, 8193):
+            memo.level(contour, None, half, n)
+        assert sum(sizes) == 129 + 8193  # 15,493 when every level was full
+
+    @pytest.mark.parametrize("kernel", ["gamma_gamma_pdf", "gamma_gamma_cdf",
+                                        "malaga_pdf", "malaga_cdf"])
+    def test_matches_dense_sum_at_converged_level(self, kernel):
+        make, contour, power, x = self.kernels()[kernel]
+        memo = make()
+        value, err = foxh.mellin_barnes(memo, contour, x, weight_power=power)
+        half, n = max(key[2:] for key in memo._levels)
+        t, re_max, w, _ = memo.level(contour, power, half, n)
+        ln_x = np.log(x)
+        dense, _ = dense_oscillatory_sums(w, t, ln_x)
+        expo = re_max - contour.c * ln_x
+        if power is not None:
+            expo = expo + (power + 1.0) * ln_x
+        want = dense * (2.0 * half / (n - 1) / (2.0 * math.pi)) * np.exp(expo)
+        assert n > 1025
+        assert np.all(np.abs(value - want) <= err)
+
+    @pytest.mark.parametrize("evict", ["small_stores", "coarse_logs_lost"])
+    def test_memo_eviction_changes_no_bit(self, monkeypatch, evict):
+        """Fresh memos per call against memos shared by every call and
+        evicted: stores of one entry, or every coarse log-integrand lost
+        between calls, so that a finer level the second Malaga CDF call
+        needs (4,097 nodes, against 2,049 for the first) is built from
+        every node."""
+        kernels = self.kernels()
+        make, contour, power, x = kernels["malaga_cdf"]
+        calls = [kernels[k] for k in sorted(kernels)]
+        calls = [(make, contour, power, x[-1:])] + calls + calls
+        want = [foxh.mellin_barnes(make(), contour, x, weight_power=power)
+                for make, contour, power, x in calls]
+        if evict == "small_stores":
+            monkeypatch.setattr(foxh, "_GRID_ENTRIES", 1)
+        memos = {}
+        for (make, contour, power, x), expected in zip(calls, want):
+            memo = memos.setdefault(make, make())
+            if evict == "coarse_logs_lost":
+                memo._logs.clear()
+            got = foxh.mellin_barnes(memo, contour, x, weight_power=power)
+            for g, w in zip(got, expected):
+                np.testing.assert_array_equal(g, w)
+
+    def test_level_without_its_coarse_level_is_bitwise_the_same(self):
+        contour = foxh.select_contour(self.GG)
+        nested = foxh.cached_theta(foxh.log_theta(self.GG))
+        full = foxh.cached_theta(foxh.log_theta(self.GG))
+        half = nested.truncation(contour, None)
+        nested.level(contour, None, half, 1025)
+        got = nested.level(contour, None, half, 2049)
+        want = full.level(contour, None, half, 2049)
+        assert got[1] == want[1] and got[3] == want[3]
+        for g, w in zip((got[0], got[2]), (want[0], want[2])):
+            np.testing.assert_array_equal(g, w)
 
 
 @st.composite
