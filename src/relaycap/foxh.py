@@ -7,16 +7,20 @@ jobs: the function itself, its running integral from zero (the CDF
 kernel), and fused sums of kernels that share a single argument scale.
 
 Evaluation is vectorised over batches of argument values: the Gamma
-product along the contour is computed once per refinement level and
-the argument only enters through the phase exp(-i t ln x).  Uniform
-nodes let that phase factor into block-start and in-block tables, so a
-level takes N/(2B) + B complex exponentials per argument (49 at
-N = 1025 nodes, B = 32) instead of N/2, plus one small matrix product.
+product along the contour is computed once per contour node and the
+argument only enters through the phase exp(-i t ln x).  Refinement is
+nested: level 2n - 1 keeps level n's nodes as its even nodes, so it
+evaluates the Gamma product and the phase sum only at its n - 1 new odd
+nodes and adds level n's sum, rescaled to the new peak.  Uniform nodes
+let the phase factor into block-start and in-block tables, so N new
+nodes take N/(2B) + B complex exponentials per argument (49 at the
+first level's N = 1025, 48 at the next level's 1024 new nodes, B = 32)
+instead of N/2, plus one small matrix product.
 
 Everything else a call does is argument-free and lives in one memo per
 integrand (``_ThetaCache``): the stage-1 truncation of each (contour,
 weight_power) and each refinement level's nodes and normalised weights,
-which between them evaluate the Gamma product once per node grid.
+which between them evaluate the Gamma product once per node.
 ``shared_theta`` keeps one such memo per ``HParams`` block.  Sharing it
 is exact: θ(s) is built from the H rows alone, and a catalog law's mean
 (its SNR point) only enters the argument delta * gamma, never the rows,
@@ -24,8 +28,8 @@ so every SNR point, call and model instance with the same block reuses
 the same arrays.  Integrands
 whose coefficients move with the mean (Malaga's fused series carries
 log delta) wrap a memo of their own with ``cached_theta`` instead.
-Constants bound both: ``_GRID_ENTRIES`` truncations and levels per
-memo, ``_SHARED_MEMOS`` shared blocks.
+Constants bound both: ``_GRID_ENTRIES`` truncations, levels and kept
+log-integrands per memo, ``_SHARED_MEMOS`` shared blocks.
 """
 
 from __future__ import annotations
@@ -311,9 +315,11 @@ def mellin_barnes(
     With ``weight_power`` = p the integrand gains 1/(p + 1 - s) and the
     result gains x^{p+1}, turning H(x) into its running integral
     int_0^x t^p H(t) dt.  Returns ``(value, error)`` with the shapes of
-    ``x``.  The error estimate folds in the trapezoid refinement delta,
-    the rounding floor of the node sum, and the residual imaginary
-    part, all scaled like the value.  A ``theta`` from ``cached_theta``
+    ``x``.  Trapezoid levels of 1025, 2049, 4097, ... nodes are nested,
+    so each level after the first sums only its new odd nodes.  The
+    error estimate folds in the refinement delta between the last two
+    levels, the rounding floor of the node sum, and the residual
+    imaginary part, all scaled like the value.  A ``theta`` from ``cached_theta``
     or ``shared_theta`` keeps its argument-free work for later calls;
     any other callable gets a memo for this call only.
     """
@@ -469,7 +475,7 @@ def mellin_moment(
     return sign * math.exp(log_mag)
 
 
-_GRID_ENTRIES = 48  # truncations and refinement levels held per memo
+_GRID_ENTRIES = 48  # truncations, levels, log-integrands held per memo
 _SHARED_MEMOS = 64  # parameter blocks whose memos are shared at once
 
 
@@ -484,8 +490,10 @@ class _ThetaCache:
     Two things along Re(s) = c do not depend on the argument batch: the
     stage-1 truncation of each (contour, weight_power), and each
     refinement level's nodes, peak log-magnitude, end-halved weights and
-    weight mass.  Calling the memo evaluates the Gamma product
-    unmemoised.  A truncation that fails to converge is not stored, so it
+    weight mass.  A level's log-integrand is also kept until the next
+    finer level takes it over as its even nodes, so a chain of nested
+    levels evaluates the Gamma product once per node.  Calling the memo
+    evaluates the Gamma product unmemoised.  A truncation that fails to converge is not stored, so it
     raises again on the next call.  Every entry is a pure function of its
     key, so threads sharing a memo at worst compute an entry twice.
     """

@@ -416,15 +416,8 @@ class TestOscillatorySums:
                              ids=["conjugate_symmetric", "asymmetric"])
     def test_matches_dense_sum(self, n, batch, symmetric):
         assert ((n - 1) // 2 + 1) % foxh._PHASE_BLOCK != 0
-        w, t = self.weights(n, symmetric)
-        ln_x = self.batches[batch]
-        vals, resid = foxh._oscillatory_sums(w, t, ln_x)
-        want_vals, want_resid = dense_oscillatory_sums(w, t, ln_x)
-        tol = 4e-15 * float(np.sum(np.abs(w)))
-        assert np.max(np.abs(vals - want_vals)) <= tol
-        assert np.max(np.abs(resid - want_resid)) <= tol
-        if symmetric:
-            assert np.max(np.abs(resid)) <= tol
+        self.check(*self.weights(n, symmetric), self.batches[batch],
+                   symmetric)
 
     # a refinement level's new odd nodes: 2 * half nodes, no centre;
     # half = 240 leaves a ragged last block of 16, half = 1024 takes two
@@ -437,7 +430,10 @@ class TestOscillatorySums:
         w, t = self.weights(4 * half + 1, symmetric)
         w, t = w[1::2], t[1::2]
         assert len(t) == 2 * half and np.all(t[half:] > 0.0)
-        ln_x = self.batches[batch]
+        self.check(w, t, self.batches[batch], symmetric)
+
+    @staticmethod
+    def check(w, t, ln_x, symmetric):
         vals, resid = foxh._oscillatory_sums(w, t, ln_x)
         want_vals, want_resid = dense_oscillatory_sums(w, t, ln_x)
         tol = 4e-15 * float(np.sum(np.abs(w)))
@@ -458,11 +454,24 @@ class TestNestedRefinement:
     @classmethod
     def kernels(cls):
         """(memo factory, contour, weight_power, arguments) per kernel."""
-        gg = lambda: foxh.cached_theta(foxh.log_theta(cls.GG))  # noqa: E731
         m = cls.MALAGA
         delta, lk = m._kernel
-        malaga = lambda: foxh.cached_theta(  # noqa: E731
-            foxh.fused_series_theta(((m.alpha - 1.0, 1.0),), lk))
+
+        def gg():
+            return foxh.cached_theta(foxh.log_theta(cls.GG))
+
+        def malaga():
+            return foxh.cached_theta(
+                foxh.fused_series_theta(((m.alpha - 1.0, 1.0),), lk))
+
+        def two_peaks():
+            # peaks at t = +-(-60 + 1195 * 120 / 2048), odd nodes of the
+            # 2,049-node level: each finer level raises the peak, so the
+            # coarse sum is rescaled
+            t0 = -60.0 + 1195 * 120.0 / 2048
+            return foxh.cached_theta(
+                lambda s: (-1e-3 * (s.imag ** 2 - t0 ** 2) ** 2) + 0j)
+
         return {
             "gamma_gamma_pdf": (gg, foxh.select_contour(cls.GG), None,
                                 cls.BATCH),
@@ -471,6 +480,8 @@ class TestNestedRefinement:
                                 0.0, cls.BATCH),
             "malaga_pdf": (malaga, m._pdf_contour, None, delta * cls.BATCH),
             "malaga_cdf": (malaga, m._cdf_contour, 0.0, delta * cls.BATCH),
+            "two_peaks": (two_peaks, foxh.ContourSpec(c=0.5), None,
+                          cls.BATCH),
         }
 
     @pytest.mark.parametrize("half", [0.7, 37.3, 60.0, 120.0, 960.0])
@@ -499,7 +510,8 @@ class TestNestedRefinement:
         assert sum(sizes) == 129 + 8193  # 15,493 when every level was full
 
     @pytest.mark.parametrize("kernel", ["gamma_gamma_pdf", "gamma_gamma_cdf",
-                                        "malaga_pdf", "malaga_cdf"])
+                                        "malaga_pdf", "malaga_cdf",
+                                        "two_peaks"])
     def test_matches_dense_sum_at_converged_level(self, kernel):
         make, contour, power, x = self.kernels()[kernel]
         memo = make()
@@ -538,18 +550,6 @@ class TestNestedRefinement:
             got = foxh.mellin_barnes(memo, contour, x, weight_power=power)
             for g, w in zip(got, expected):
                 np.testing.assert_array_equal(g, w)
-
-    def test_level_without_its_coarse_level_is_bitwise_the_same(self):
-        contour = foxh.select_contour(self.GG)
-        nested = foxh.cached_theta(foxh.log_theta(self.GG))
-        full = foxh.cached_theta(foxh.log_theta(self.GG))
-        half = nested.truncation(contour, None)
-        nested.level(contour, None, half, 1025)
-        got = nested.level(contour, None, half, 2049)
-        want = full.level(contour, None, half, 2049)
-        assert got[1] == want[1] and got[3] == want[3]
-        for g, w in zip((got[0], got[2]), (want[0], want[2])):
-            np.testing.assert_array_equal(g, w)
 
 
 @st.composite
