@@ -4,9 +4,16 @@ Five policies are provided: constant-power rate adaptation (``ora``),
 a statistical-delay-constrained variant (``effective``), channel
 inversion with fixed rate (``cifr``), its truncated form (``tcifr``)
 and joint power-and-rate adaptation above a solved cutoff (``opra``).
-All capacities are in bits/s/Hz and carry a quadrature error estimate;
-semi-infinite integrals run over the map g = cutoff + s*t/(1-t) with s
-a tenth of the channel support.
+All capacities are in bits/s/Hz and carry a quadrature error estimate.
+
+A channel at mean m is m times its unit-mean law X, so every policy
+but ``cifr`` is an integral against X with m moved into the kernel.
+Those integrals are read off one table per unit law (``_Table``): GK15
+panels on cells of a grid in u = ln x, built on the first policy call
+and kept in the unit law's memo.  The opra cutoff at every mean is the
+root of one decreasing function of X, bracketed on the table's cell
+edges and polished by Newton steps of one fresh panel each.  ``cifr``
+sums E[1/X] once per unit law, octave by octave.
 """
 
 from __future__ import annotations
@@ -16,17 +23,28 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special
 
 from .errors import DivergentIntegral, RelayCapError, RootNotBracketed
-from .quadrature import integrate, integrate_semi_infinite
+from .quadrature import (integrate, integrate_semi_infinite, panel_nodes,
+                         panel_sums)
 from .topology import EndToEndChannel
 
 LN2 = math.log(2.0)
 
 _REL_TOL = 1e-8
-_CUTOFF_REL_TOL = 1e-11  # root residual threshold is 1e-10
+_EPS = float(np.finfo(float).eps)
 _CUTOFF_RESIDUAL = 1e-10
-_CUTOFF_MAX_NEWTON = 100
+_CUTOFF_MAX_NEWTON = 60
+_CUTOFF_FLOOR = 1e-12
+# the unit-law table (see _Table); the law is evaluated in calls of at
+# most _LAW_BATCH arguments
+_TABLE_CELLS = 32
+_TABLE_ABOVE = 4.0
+_TABLE_TOL = 1e-12
+_TABLE_MAX_CELLS = 512
+_LAW_BATCH = 256
+_SF_DIGITS = 1e-4
 _MOMENT_OCTAVES = 32
 _MOMENT_MIN_OCTAVES = 8
 _MOMENT_DRIFT_TOL = 1e-4
@@ -112,12 +130,12 @@ def _checked(value: float, err: float) -> tuple[float, float]:
 
 def _tail(ch: EndToEndChannel,
           fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lower: float,
-          *, density: bool = False,
-          rel_tol: float = _REL_TOL) -> tuple[float, float]:
-    """Checked integral over [lower, inf) of fn(g, _law(ch, g, density))."""
+          *, density: bool = False) -> tuple[float, float]:
+    """Checked integral over [lower, inf) of fn(g, _law(ch, g, density)),
+    over the map g = lower + s*t/(1-t) with s a tenth of the support."""
     return _checked(*integrate_semi_infinite(
         lambda g: fn(g, _law(ch, g, density)), lower,
-        scale=max(ch.support_hint / 10.0, 1e-12), rel_tol=rel_tol,
+        scale=max(ch.support_hint / 10.0, 1e-12), rel_tol=_REL_TOL,
     ))
 
 
@@ -138,15 +156,192 @@ def _derived(memo: dict, key: str, compute: Callable[[], object]):
     return got
 
 
+class _Table:
+    """The unit law on GK15 cells in u = ln x.
+
+    Every policy at mean m is an integral against the unit law X with m
+    moved into the kernel, so one table of the survival S and the
+    density f at the Kronrod nodes of every cell serves every SNR
+    point.  The cells start uniform, of width 1 on
+    [ln(support_hint) - 28, ln(support_hint) + 4]; a cell whose panel
+    error on the mass f e^u or on S exceeds ``_TABLE_TOL`` is halved
+    until none does, within ``_TABLE_MAX_CELLS`` cells.  ``edge_sf`` is
+    S at every edge, ``low_cdf`` F at the lowest and ``top_sf`` S at
+    the highest; ``mass`` and ``inv`` hold each cell's integrals of
+    f(x) and f(x)/x, i.e. of f e^u and f over u, and their errors.
+    """
+
+    def __init__(self, ch: EndToEndChannel):
+        top = math.log(ch.support_hint) + _TABLE_ABOVE
+        edges = top - np.arange(_TABLE_CELLS, -1, -1.0)
+        lo, hi = edges[:-1], edges[1:]
+        sf, pdf = _law_at(ch, panel_nodes(lo, hi))
+        while True:
+            nodes, half = panel_nodes(lo, hi), 0.5 * (hi - lo)
+            bad = ((panel_sums(pdf * np.exp(nodes), half)[1] > _TABLE_TOL)
+                   | (panel_sums(sf, half)[1] > _TABLE_TOL))
+            if not bad.any() or lo.size + bad.sum() > _TABLE_MAX_CELLS:
+                break
+            mid = 0.5 * (lo[bad] + hi[bad])
+            new_lo = np.concatenate([lo[bad], mid])
+            new_hi = np.concatenate([mid, hi[bad]])
+            new_sf, new_pdf = _law_at(ch, panel_nodes(new_lo, new_hi))
+            order = np.argsort(np.concatenate([lo[~bad], new_lo]))
+            lo = np.concatenate([lo[~bad], new_lo])[order]
+            hi = np.concatenate([hi[~bad], new_hi])[order]
+            sf = np.concatenate([sf[~bad], new_sf])[order]
+            pdf = np.concatenate([pdf[~bad], new_pdf])[order]
+        self.edges = np.append(lo, hi[-1])
+        self.nodes, self.half = nodes, half
+        self.sf, self.pdf = sf, pdf
+        cdf = np.clip(_batched(ch.cdf, np.exp(self.edges)), 0.0, 1.0)
+        self.low_cdf, self.top_sf = float(cdf[0]), float(1.0 - cdf[-1])
+        self.edge_sf = 1.0 - cdf
+        self.mass = panel_sums(pdf * np.exp(nodes), half)
+        self.inv = panel_sums(pdf, half)
+
+    def integral(self, vals: np.ndarray, start: int = 0) -> tuple[float, float]:
+        """Sum over the cells from ``start`` up of the panel integrals of
+        ``vals`` (one row of node values per cell, for all cells), and
+        its error: the panels' estimates plus a rounding floor."""
+        return _summed(panel_sums(vals[start:], self.half[start:]))
+
+    def above(self, ch: EndToEndChannel, y: float) -> "_Above":
+        """The unit law above y.
+
+        For y on the table, the cells above the one holding y come from
+        the table; the part of that cell above y is one fresh GK15
+        panel, and the law is evaluated at its nodes and at y (one CDF
+        and one density call).  Off the table (a pinned tcifr cutoff
+        only) the law is taken as empty above it, with S at the top
+        edge charged, and below it the integral of f/x up to the lowest
+        edge is an adaptive quadrature over u.
+        """
+        u = math.log(y)
+        if not self.edges[0] <= u < self.edges[-1]:
+            sf, f = _law_at(ch, np.array([u]))
+            inv = (0.0, self.top_sf / y)
+            if u < self.edges[0]:
+                inv = _plus(_checked(*integrate(
+                    lambda v: _law(ch, np.exp(v), density=True), u,
+                    self.edges[0], rel_tol=_REL_TOL)), _summed(self.inv))
+            none = np.zeros((0, 15))
+            return _Above(y, -1, none, none[:, 0], none, none, float(f[0]),
+                          (float(sf[0]), _EPS), inv)
+        k = int(np.searchsorted(self.edges, u, side="right")) - 1
+        nodes = panel_nodes(np.array([u]), self.edges[k + 1:k + 2])
+        half = 0.5 * (self.edges[k + 1:k + 2] - u)
+        sf, f = _law_at(ch, np.append(nodes, u))
+        sf_nodes, f_nodes = sf[None, :-1], f[None, :-1]
+        mass = _plus(_summed(panel_sums(f_nodes * np.exp(nodes), half)),
+                     _summed(tuple(v[k + 1:] for v in self.mass)))
+        inv = _plus(_summed(panel_sums(f_nodes, half)),
+                    _summed(tuple(v[k + 1:] for v in self.inv)))
+        # S(y): 1 - F(y) while that keeps 12 digits, else the density's
+        # mass above y, which keeps its relative digits in the upper tail
+        survival = ((float(sf[-1]), _EPS) if sf[-1] >= _SF_DIGITS
+                    else (mass[0] + self.top_sf, mass[1]))
+        return _Above(y, k, nodes, half, sf_nodes, f_nodes, float(f[-1]),
+                      survival, (inv[0], inv[1] + self.top_sf / y))
+
+    def h_edges(self) -> np.ndarray:
+        """H(y) = S(y)/y - integral_y^inf f(t)/t dt at every cell edge,
+        from reverse cumulative sums of the cell integrals."""
+        mass = self.top_sf + _reverse_cumsum(self.mass[0])
+        sf = np.where(self.edge_sf >= _SF_DIGITS, self.edge_sf, mass)
+        return sf * np.exp(-self.edges) - _reverse_cumsum(self.inv[0])
+
+
+@dataclass(frozen=True)
+class _Above:
+    """The unit law above y: ``survival`` S(y) and ``inv``, the integral
+    of f(t)/t over (y, inf), each (value, error); the partial panel of
+    the cell that holds y with S and f at its nodes; and f(y)."""
+
+    y: float
+    cell: int
+    nodes: np.ndarray
+    half: np.ndarray
+    sf: np.ndarray
+    pdf: np.ndarray
+    pdf_y: float
+    survival: tuple[float, float]
+    inv: tuple[float, float]
+
+    def h(self) -> tuple[float, float]:
+        """H(y) and its quadrature error."""
+        return (self.survival[0] / self.y - self.inv[0],
+                self.survival[1] / self.y + self.inv[1])
+
+
+def _law_at(ch: EndToEndChannel, u: np.ndarray):
+    """S and f of ``ch`` at x = e^u, shaped like ``u``."""
+    x = np.exp(u).ravel()
+    return tuple(_batched(lambda g: _law(ch, g, density), x).reshape(u.shape)
+                 for density in (False, True))
+
+
+def _batched(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """``fn`` over ``x`` in calls of at most ``_LAW_BATCH`` arguments,
+    which bounds the contour evaluator's node-by-argument arrays."""
+    return np.concatenate([np.asarray(fn(x[i:i + _LAW_BATCH]), dtype=float)
+                           for i in range(0, x.size, _LAW_BATCH)])
+
+
+def _summed(panels: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
+    """Total of panel integrals and of their errors, with a rounding
+    floor of 50 ulp of the absolute total (QUADPACK's floor)."""
+    vals, errs = panels
+    return (float(vals.sum()),
+            float(errs.sum()) + 50.0 * _EPS * float(np.abs(vals).sum()))
+
+
+def _plus(a: tuple[float, float], b: tuple[float, float]):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _reverse_cumsum(v: np.ndarray) -> np.ndarray:
+    """Sums of ``v`` from each index up, with a trailing 0."""
+    return np.append(np.cumsum(v[::-1])[::-1], 0.0)
+
+
+def _unit_table(ch: EndToEndChannel) -> tuple[_Table, float]:
+    """The table of the channel's unit law, built once and kept in the
+    unit law's memo, and the channel's scale factor m."""
+    base = ch.unit or ch
+    return _derived(base.memo, "table", lambda: _Table(base)), ch.factor
+
+
+def _sf_integral(sf: np.ndarray, kernel: np.ndarray,
+                 half: np.ndarray) -> tuple[float, float]:
+    """Integral over panels of S times ``kernel``, and its error.
+
+    S is read as 1 - F, whose rounding is up to one ulp of 1 at every
+    node; that noise times the integral of |kernel| is charged too.
+    """
+    val, err = _summed(panel_sums(sf * kernel, half))
+    noise, _ = _summed(panel_sums(np.abs(kernel), half))
+    return val, err + _EPS * noise
+
+
 def ora(ch: EndToEndChannel,
         prelog: PrelogFactor | float = PrelogFactor()) -> PolicyResult:
     """Constant transmit power, rate tracking the channel.
 
     capacity = (prelog/ln 2) * integral over (0, inf) of (1-F(g))/(1+g),
-    the integrated-by-parts form of E[prelog*log2(1+g)].
+    the integrated-by-parts form of E[prelog*log2(1+g)].  On the unit
+    law X of a channel g = m X this is the integral over u = ln x of
+    S(e^u) * m e^u/(1 + m e^u), read off the unit-law table.  Below the
+    table S is taken as 1, which closes the integral with
+    ln(1 + m e^u_lo); F(e^u_lo) times that closure is charged to the
+    error.
     """
     pl = _prelog(prelog)
-    val, err = _tail(ch, lambda g, s: s / (1.0 + g), 0.0)
+    tab, m = _unit_table(ch)
+    w = tab.nodes + math.log(m)  # m x = e^w
+    val, err = _sf_integral(tab.sf, special.expit(w), tab.half)
+    closure = float(np.logaddexp(0.0, tab.edges[0] + math.log(m)))
+    val, err = _checked(val + closure, err + tab.low_cdf * closure)
     cap = max(pl / LN2 * val, 0.0)
     return PolicyResult(
         capacity=cap,
@@ -160,23 +355,35 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
 
     capacity = -(1/d) * ln E[(1+g)^(-d*prelog/ln 2)] with d = qos_delta.
     The natural log makes the d -> 0 limit recover ``ora`` exactly.
+    Both forms below are integrals over the unit-law table, with
+    w = ln(m x); below the table the law is closed as in ``ora``.
     """
     pl = _prelog(prelog)
     d = params.qos_delta
     a = d * pl / LN2
+    tab, m = _unit_table(ch)
+    w = tab.nodes + math.log(m)  # m x = e^w
+    soft = np.logaddexp(0.0, w)  # ln(1 + m x)
+    soft_lo = float(np.logaddexp(0.0, tab.edges[0] + math.log(m)))
     if min(a, a * ch.support_hint) <= _EFFECTIVE_PARTS_LIMIT:
         # Density-form quadrature noise on the moment is amplified by
         # 1/d in the capacity; the by-parts form E = 1 - a*int (1-F) *
         # (1+g)^(-a-1) dg enters only through a, so it stays accurate
         # down to the d -> 0 limit.  It does the same when the channel
         # barely reaches past 0 (low SNR), where 1 - E is small too.
-        tail, err = _tail(
-            ch, lambda g, s: s * np.exp(-(a + 1.0) * np.log1p(g)), 0.0)
+        tail, err = _sf_integral(tab.sf, np.exp(w - (a + 1.0) * soft),
+                                 tab.half)
+        closure = -math.expm1(-a * soft_lo) / a
+        tail, err = _checked(tail + closure, err + tab.low_cdf * closure)
         val, err = 1.0 - a * tail, a * err
     else:
         tail = None
-        val, err = _tail(ch, lambda g, f: f * np.exp(-a * np.log1p(g)), 0.0,
-                         density=True)
+        val, err = tab.integral(tab.pdf * np.exp(tab.nodes - a * soft))
+        # the mass F(e^u_lo) below the table sees a kernel in
+        # [(1 + m e^u_lo)^-a, 1]: take the midpoint, charge half the span
+        low = math.exp(-a * soft_lo)
+        val, err = _checked(val + 0.5 * tab.low_cdf * (1.0 + low),
+                            err + 0.5 * tab.low_cdf * (1.0 - low))
     if val <= 0.0:
         raise RelayCapError(
             "effective-capacity moment integral collapsed to zero; "
@@ -287,42 +494,52 @@ def cifr(ch: EndToEndChannel,
     )
 
 
-def tcifr(ch: EndToEndChannel, cutoff: float,
+def tcifr(ch: EndToEndChannel, cutoff: float | None,
           prelog: PrelogFactor | float = PrelogFactor()) -> PolicyResult:
     """Truncated channel inversion: suspend below ``cutoff``.
 
     capacity = (prelog/ln 2) * ln(1 + 1/T) * (1 - F(cutoff)) with
-    T the inverse moment restricted to (cutoff, inf).
+    T the inverse moment restricted to (cutoff, inf).  Both are read
+    off the unit-law table above y = cutoff/m.  A ``cutoff`` of None
+    takes the channel's solved ``opra`` cutoff, reuses that solve's
+    panel and is charged what the solve's residual can move it by.
     """
+    if cutoff is None:
+        cut = _cutoff(ch)
+        return _tcifr(ch, _prelog(prelog), cut.solve.root, cut.above,
+                      cut.h_err)
     if not cutoff > 0.0:
         raise ValueError(f"tcifr cutoff must be positive, got {cutoff}")
-    pl = _prelog(prelog)
-    coverage = float(_law(ch, cutoff))
-    t, err = _tail(ch, lambda g, f: f / g, cutoff, density=True)
+    tab, m = _unit_table(ch)
+    return _tcifr(ch, _prelog(prelog), cutoff,
+                  tab.above(ch.unit or ch, cutoff / m), 0.0)
+
+
+def _tcifr(ch: EndToEndChannel, pl: float, cutoff: float, above: "_Above",
+           h_err: float) -> PolicyResult:
+    m = ch.factor
+    t, t_err = above.inv[0] / m, above.inv[1] / m
+    coverage = above.survival[0]
     if t <= 0.0 or coverage <= 0.0:
         return PolicyResult(
             capacity=0.0, cutoff=cutoff, quad_error=ch.resolution_error,
             diagnostic="no usable probability mass above the cutoff",
         )
-    cap = pl / LN2 * math.log1p(1.0 / t) * coverage
+    rate = math.log1p(1.0 / t)
+    cap = pl / LN2 * rate * coverage
+    # d capacity / d T = -(prelog/ln 2) * coverage / (T^2 + T)
+    err = coverage * t_err / (t * t + t) + rate * above.survival[1]
+    if h_err:
+        # a cutoff condition off by h_err puts the unit-law root off by
+        # h_err * y^2 / S(y), and d(rate * coverage)/dy =
+        # f(y) * (coverage / (y m (T^2 + T)) - rate)
+        y = above.y
+        slope = above.pdf_y * abs(coverage / (y * m * (t * t + t)) - rate)
+        err += slope * h_err * y * y / coverage
     return PolicyResult(
         capacity=cap, cutoff=cutoff,
-        quad_error=_fold_mass(
-            pl / LN2 * coverage * err / (t * t + t), ch, cap),
+        quad_error=_fold_mass(pl / LN2 * err, ch, cap),
     )
-
-
-def _cutoff_objective(ch: EndToEndChannel, x: float) -> tuple[float, float]:
-    """G(x) = (1-F(x))/x - integral_x^inf f/g - 1 and its derivative.
-
-    G is strictly decreasing where F < 1 (G'(x) = -(1-F(x))/x^2), goes
-    to +inf at the origin and is non-positive at 1, so it brackets one
-    root in (0, 1].
-    """
-    sf = float(_law(ch, x))
-    tail, _ = _tail(ch, lambda g, f: f / g, x, density=True,
-                    rel_tol=_CUTOFF_REL_TOL)
-    return sf / x - tail - 1.0, -sf / (x * x)
 
 
 @dataclass(frozen=True)
@@ -332,58 +549,74 @@ class CutoffSolve:
     residual: float
 
 
-def _cutoff_solve(ch: EndToEndChannel) -> CutoffSolve:
-    """Root of the power-adaptation cutoff condition, in (0, 1]."""
-    evals = 0
+@dataclass(frozen=True)
+class _Cutoff:
+    """A cutoff solve, the unit law above its root (its last Newton
+    panel), and h_err: |H - m| plus H's quadrature error at the root,
+    what the root's condition may be off by."""
 
-    def g_of(x: float) -> tuple[float, float]:
-        nonlocal evals
-        evals += 1
-        return _cutoff_objective(ch, x)
+    solve: CutoffSolve
+    above: "_Above"
+    h_err: float
 
-    # Bracket: G(1) <= 0 analytically; walk down from 0.5 for G > 0.
-    lo = 0.5
-    g_lo, gp = g_of(lo)
-    hi = 1.0
-    while g_lo <= 0.0:
-        hi = lo
-        lo *= 0.5
-        if lo < 1e-12:
-            raise RootNotBracketed(
-                "no power-adaptation cutoff above 1e-12; the channel is "
-                "too degraded for power adaptation to satisfy its budget"
-            )
-        g_lo, gp = g_of(lo)
 
-    x, g_val = lo, g_lo
-    for _ in range(_CUTOFF_MAX_NEWTON):
-        if abs(g_val) < _CUTOFF_RESIDUAL:
-            return CutoffSolve(x, evals, abs(g_val))
-        step = g_val / gp if gp < 0.0 else math.nan
-        x_new = x - step
-        if not math.isfinite(x_new) or not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        g_new, gp = g_of(x_new)
-        if g_new > 0.0:
-            lo = x_new
+_DEGRADED = ("no power-adaptation cutoff above 1e-12; the channel is too "
+             "degraded for power adaptation to satisfy its budget")
+
+
+def _cutoff_solve(ch: EndToEndChannel) -> _Cutoff:
+    """Root of the power-adaptation cutoff condition, in (0, 1].
+
+    On the unit law X of g = m X, with y = cutoff/m, the condition is
+    H(y) = S(y)/y - integral_y^inf f(t)/t dt = m.  H is decreasing with
+    H'(y) = -S(y)/y^2, so the edge values of H (reverse sums of the
+    table's cell integrals) bracket the root in one cell, and Newton's
+    method in u = ln y finishes there.  Each Newton step is one fresh
+    GK15 panel on the part of the cell above y; a step that leaves the
+    bracket bisects it.  The residual is |H/m - 1| = |G| of the cutoff
+    condition in g.  A root below 1e-12 raises ``RootNotBracketed``.
+    """
+    tab, m = _unit_table(ch)
+    if m * math.exp(tab.edges[-1]) < _CUTOFF_FLOOR:
+        raise RootNotBracketed(_DEGRADED)
+    h = tab.h_edges()
+    if not h[0] >= m:
+        raise RootNotBracketed(
+            f"the power-adaptation cutoff lies below the unit-law table "
+            f"(cutoff < {m * math.exp(tab.edges[0]):.3g})"
+        )
+    k = int(np.flatnonzero(h >= m)[-1])
+    if k == h.size - 1:
+        raise RootNotBracketed(_DEGRADED)
+    lo, hi = tab.edges[k], tab.edges[k + 1]
+    # first guess: ln H linear in u across the cell
+    u = lo + (hi - lo) * (math.log(h[k] / m) / math.log(h[k] / h[k + 1])
+                          if h[k + 1] > 0.0 else 0.5)
+    panels = 0
+    while True:
+        above = tab.above(ch.unit or ch, math.exp(u))
+        panels += 1
+        hv, h_quad = above.h()
+        g = hv / m - 1.0
+        if abs(g) < _CUTOFF_RESIDUAL or panels >= _CUTOFF_MAX_NEWTON:
+            break
+        if g > 0.0:
+            lo = u
         else:
-            hi = x_new
-        x, g_val = x_new, g_new
-
-    # Newton budget spent; bisection finishes.
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        g_val, _ = g_of(mid)
-        if abs(g_val) < _CUTOFF_RESIDUAL:
-            return CutoffSolve(mid, evals, abs(g_val))
-        if g_val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return CutoffSolve(0.5 * (lo + hi), evals, abs(g_val))
+            hi = u
+        if hi - lo <= 4.0 * _EPS * max(1.0, abs(u)):
+            break  # the bracket is down to rounding
+        slope = above.survival[0] / above.y  # -dH/du
+        u_new = u + (hv - m) / slope if slope > 0.0 else math.nan
+        u = u_new if lo < u_new < hi else 0.5 * (lo + hi)
+    root = m * above.y
+    if root < _CUTOFF_FLOOR:
+        raise RootNotBracketed(_DEGRADED)
+    return _Cutoff(CutoffSolve(root, panels, abs(g)), above,
+                   abs(hv - m) + h_quad)
 
 
-def _cutoff(ch: EndToEndChannel) -> CutoffSolve:
+def _cutoff(ch: EndToEndChannel) -> _Cutoff:
     """The cutoff solve, or its error, once per channel (a cutoff is not
     scale-equivariant, so the memo of the unit law cannot hold it)."""
     return _derived(ch.memo, "cutoff", lambda: _cutoff_solve(ch))
@@ -392,30 +625,45 @@ def _cutoff(ch: EndToEndChannel) -> CutoffSolve:
 def opra_cutoff(ch: EndToEndChannel) -> float:
     """Cutoff SNR below which joint power/rate adaptation suspends.
 
-    Solves integral_x^inf (1/x - 1/g) f(g) dg = 1 by Newton-Raphson
-    from 0.5 with a maintained bracket and bisection fallback; the
-    root lies in (0, 1] for any well-posed channel and the solver
-    raises ``RootNotBracketed`` otherwise instead of clamping.  Each
-    channel is solved once; later calls read the solve or its error.
+    Solves integral_x^inf (1/x - 1/g) f(g) dg = 1 on the unit-law
+    table (see ``_cutoff_solve``); the root lies in (0, 1] for any
+    well-posed channel and the solver raises ``RootNotBracketed``
+    otherwise instead of clamping.  Each channel is solved once; later
+    calls read the solve or its error.
     """
-    return _cutoff(ch).root
+    return _cutoff(ch).solve.root
 
 
 def opra_cutoff_details(ch: EndToEndChannel) -> CutoffSolve:
-    """Cutoff solve with iteration count and final residual."""
-    return _cutoff(ch)
+    """Cutoff solve with its Newton panel count and final residual."""
+    return _cutoff(ch).solve
 
 
 def _opra(ch: EndToEndChannel, pl: float) -> PolicyResult:
-    solve = _cutoff(ch)
-    root = solve.root
-    val, e_sf = _tail(ch, lambda g, s: s / g, root)
+    cut = _cutoff(ch)
+    tab, _ = _unit_table(ch)
+    above = cut.above
+    u, start = math.log(above.y), above.cell + 1
+    # integral over u > ln y of S; the survival above the table is
+    # charged once
+    ones = np.ones_like(tab.nodes)
+    val, e_sf = _plus(_sf_integral(above.sf, ones[:1], above.half),
+                      _sf_integral(tab.sf[start:], ones[start:],
+                                   tab.half[start:]))
+    e_sf += tab.top_sf
+
     # Independent route: E[log(g/cutoff); g > cutoff], equal by parts.
-    chk, e_f = _tail(ch, lambda g, f: f * np.log(g / root), root,
-                     density=True)
+    def log_ratio(nodes, pdf):
+        return pdf * np.exp(nodes) * (nodes - u)
+
+    chk, e_f = _plus(
+        _summed(panel_sums(log_ratio(above.nodes, above.pdf), above.half)),
+        tab.integral(log_ratio(tab.nodes, tab.pdf), start))
     cap = max(pl / LN2 * val, 0.0)
     cross = pl / LN2 * chk
-    err = _fold_mass(pl / LN2 * (e_sf + e_f), ch, cap)
+    # a cutoff condition off by h_err moves the unit-law root by
+    # h_err * y^2 / S(y), and the integral of S/y by h_err * y
+    err = _fold_mass(pl / LN2 * (e_sf + e_f + cut.h_err * above.y), ch, cap)
     diagnostic = None
     if abs(cap - cross) > err:
         err = abs(cap - cross)
@@ -424,8 +672,9 @@ def _opra(ch: EndToEndChannel, pl: float) -> PolicyResult:
             "quadrature estimate"
         )
     return PolicyResult(
-        capacity=cap, cutoff=root, quad_error=err,
-        iterations=solve.iterations, cross_check=cross, diagnostic=diagnostic,
+        capacity=cap, cutoff=cut.solve.root, quad_error=err,
+        iterations=cut.solve.iterations, cross_check=cross,
+        diagnostic=diagnostic,
     )
 
 
@@ -435,9 +684,11 @@ def opra(ch: EndToEndChannel,
 
     capacity = (prelog/ln 2) * integral_cutoff^inf (1-F(g))/g dg; the
     density form of the same quantity is integrated independently and
-    reported as ``cross_check``.  The root exists for any proper SNR
-    law (even a point mass at m has one, at m/(m+1)); only a
-    numerically broken channel surfaces as ``RootNotBracketed``.
+    reported as ``cross_check``.  Both are reverse sums over the
+    unit-law table plus the cutoff solve's partial panel.  The root
+    exists for any proper SNR law (even a point mass at m has one, at
+    m/(m+1)); only a numerically broken channel surfaces as
+    ``RootNotBracketed``.
     """
     return _opra(ch, _prelog(prelog))
 
@@ -509,8 +760,7 @@ def _eval_policy(ch: EndToEndChannel, spec: PolicySpec) -> PolicyResult:
     if spec.name == "cifr":
         return cifr(ch, pl)
     if spec.name == "tcifr":
-        cut = spec.cutoff
-        return tcifr(ch, _cutoff(ch).root if cut is None else cut, pl)
+        return tcifr(ch, spec.cutoff, pl)
     return _opra(ch, pl.value)
 
 

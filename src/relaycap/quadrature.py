@@ -52,12 +52,26 @@ _WG[1:-1:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
-def _panel_estimates(f: Integrand, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod value and error estimate for a batch of panels."""
+def panel_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 15 Kronrod nodes of each panel [lo, hi], one row per panel."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _XGK[None, :]
+    return mid[..., None] + half[..., None] * _XGK
+
+
+def _panel_estimates(f: Integrand, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod value and error estimate for a batch of panels."""
+    nodes = panel_nodes(lo, hi)
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return panel_sums(vals, 0.5 * (hi - lo))
+
+
+def panel_sums(vals: np.ndarray, half: np.ndarray):
+    """Kronrod value and error estimate of panels from their node values.
+
+    ``vals`` holds one row of 15 values per panel, at ``panel_nodes``;
+    ``half`` is each panel's half width.
+    """
     resk = vals @ _WGK
     resg = vals @ _WG
     integral = resk * half

@@ -383,3 +383,198 @@ class TestOrdering:
                                                 + ora.quad_error)
         assert ora.capacity >= cifr.capacity - (ora.quad_error
                                                 + cifr.quad_error)
+
+
+class TestTableOracles:
+    """Every table route against mpmath, from -100 to 100 dB.
+
+    Best-of-3 relay selection over two-hop Exponential(1) branches has
+    S(x) = 1 - (1 - e^-2x)^3 = 3e^-2x - 3e^-4x + e^-6x on its unit law,
+    so ora, opra, tcifr and the cutoff condition are sums of E1 terms,
+    and effective capacity is one mpmath quadrature.  Each value must
+    lie within its reported quad_error of the oracle.
+    """
+
+    TERMS = ((3, 2), (-3, 4), (1, 6))  # S(x) = sum a e^(-r x)
+
+    @pytest.fixture(scope="class")
+    def unit(self):
+        return end_to_end(Selective(
+            branches=((Exponential(1.0), Exponential(1.0)),) * 3))
+
+    @pytest.fixture(scope="class", params=[-100.0, 0.0, 30.0, 100.0])
+    def case(self, request, unit):
+        """The channel at the SNR point, m, the mpmath root y0 of the
+        cutoff condition on the unit law, and the prelog / ln 2."""
+        import mpmath as mp
+
+        mp.mp.dps = 40
+        m = mp.mpf(10) ** (mp.mpf(request.param) / 10)
+        lm = mp.log(m)
+
+        def h(y):
+            return sum(a * (mp.exp(-r * y) / y - r * mp.e1(r * y))
+                       for a, r in self.TERMS)
+
+        y0 = mp.exp(mp.findroot(lambda u: mp.log(h(mp.exp(u))) - lm,
+                                (-30, 4), solver="anderson"))
+        return (unit.scaled(10.0 ** (request.param / 10.0)), m, y0,
+                1 / (2 * mp.log(2)))
+
+    @staticmethod
+    def within(got: float, want, err: float) -> None:
+        assert abs(got - float(want)) <= err, (got, float(want), err)
+
+    def test_ora(self, case):
+        import mpmath as mp
+
+        ch, m, _, pl = case
+        want = pl * sum(a * mp.exp(r / m) * mp.e1(r / m)
+                        for a, r in self.TERMS)
+        r = capacity.ora(ch)
+        self.within(r.capacity, want, r.quad_error)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1.0])
+    def test_effective(self, case, delta):
+        # delta 1e-3 takes the by-parts form everywhere, delta 1 the
+        # density form from 0 dB up
+        import mpmath as mp
+
+        ch, m, _, pl = case
+        a = delta * pl
+
+        def gap(x):  # f(x) (1 - (1 + m x)^-a)
+            f = sum(c * r * mp.exp(-r * x) for c, r in self.TERMS)
+            return f * -mp.expm1(-a * mp.log1p(m * x))
+
+        points = [0, 1 / m, 1, mp.inf] if m > 1 else [0, 1, 1 / m, mp.inf]
+        want = -mp.log1p(-mp.quad(gap, points)) / delta
+        r = capacity.effective(ch, EffectiveCapacityParams(delta))
+        self.within(r.capacity, want, r.quad_error)
+
+    def test_opra_and_its_cross_check(self, case):
+        import mpmath as mp
+
+        ch, _, y0, pl = case
+        want = pl * sum(a * mp.e1(r * y0) for a, r in self.TERMS)
+        r = capacity.opra(ch)
+        self.within(r.capacity, want, r.quad_error)
+        self.within(r.cross_check, want, r.quad_error)
+        assert r.diagnostic is None
+
+    def test_tcifr(self, case):
+        import mpmath as mp
+
+        ch, m, y0, pl = case
+        t = sum(a * r * mp.e1(r * y0) for a, r in self.TERMS) / m
+        coverage = sum(a * mp.exp(-r * y0) for a, r in self.TERMS)
+        want = pl * mp.log1p(1 / t) * coverage
+        r = capacity.evaluate(ch, PolicySpec(name="tcifr"))
+        self.within(r.capacity, want, r.quad_error)
+
+    def test_cutoff(self, case):
+        # what the condition may be off by, h_err, moves the unit-law
+        # root by h_err * y^2 / S(y); the root m*y rounds to a few ulp
+        ch, m, y0, _ = case
+        cut = capacity._cutoff(ch)
+        y = cut.above.y
+        bound = float(m) * cut.h_err * y * y / cut.above.survival[0]
+        root = cut.solve.root
+        assert abs(root - float(m * y0)) <= bound + 4 * np.finfo(float).eps * root
+        assert cut.solve.residual <= 1e-10
+
+
+class TestCutoffResidualCharge:
+    """A cutoff condition left off by |G| moves opra by up to
+    (prelog/ln 2) |G| cutoff, and tcifr by the matching term; both are
+    charged to quad_error.  fig1_selective3 at 5 dB, with the root
+    tightened to |G| ~ 1e-16 and loosened to |G| = 1e-10."""
+
+    def test_loose_root_is_covered_by_its_error(self):
+        from relaycap import cli
+
+        topo = cli.topology_from_config(
+            cli.load_config("fig1_selective3")["topology"])
+        factory = cli._channel_factory(topo)
+        m = 10.0 ** 0.5
+        ch = factory(m)
+        tab, _ = capacity._unit_table(ch)
+
+        def at(y):
+            above = tab.above(ch.unit, y)
+            h, h_quad = above.h()
+            return capacity._Cutoff(
+                CutoffSolve(m * y, 1, abs(h / m - 1.0)), above,
+                abs(h - m) + h_quad)
+
+        y = capacity._cutoff(ch).above.y
+        for _ in range(4):  # Newton in ln y to |G| ~ 1e-16
+            above = tab.above(ch.unit, y)
+            y *= math.exp((above.h()[0] - m) * y / above.survival[0])
+        tight = at(y)
+        loose = at(y * math.exp(-1e-10 * m * y / tight.above.survival[0]))
+        assert tight.solve.residual < 1e-14
+        assert loose.solve.residual == pytest.approx(1e-10, rel=1e-3)
+
+        def run(cut, policy):
+            fresh = factory(m)
+            fresh.memo["cutoff"] = cut
+            return policy(fresh)
+
+        for policy in (capacity.opra, lambda c: capacity.tcifr(c, None)):
+            near, far = run(tight, policy), run(loose, policy)
+            moved = abs(far.capacity - near.capacity)
+            assert moved <= far.quad_error
+            # the move is the residual's, far beyond the quadrature error
+            assert moved > 10.0 * near.quad_error
+
+
+class TestExtremeSnr:
+    """fig1_serial2 far from 0 dB: the unit-law table serves every SNR
+    point, so only the cutoff's Newton panels depend on the mean."""
+
+    @staticmethod
+    def counted_unit():
+        import dataclasses
+
+        from relaycap import cli
+
+        topo = cli.topology_from_config(
+            cli.load_config("fig1_serial2")["topology"])
+        unit = end_to_end(topo.with_mean_snr(1.0))
+        args = []
+
+        def counting(fn):
+            def law(x):
+                args.append(np.size(x))
+                return fn(x)
+            return law
+
+        unit = dataclasses.replace(unit, cdf=counting(unit.cdf),
+                                   pdf=counting(unit.pdf))
+        return unit, args
+
+    def sweep_point(self, snr_db):
+        unit, args = self.counted_unit()
+        rows = sweep(unit.scaled, ["ora", "opra", "cifr", "tcifr",
+                                   PolicySpec("effective", qos_delta=1.0)],
+                     [snr_db])
+        return {r.policy: r for r in rows}, sum(args)
+
+    def test_law_arguments_match_0_db_up_to_newton_panels(self):
+        far, far_args = self.sweep_point(-100.0)
+        near, near_args = self.sweep_point(0.0)
+        assert all(r.error is None for r in (*far.values(), *near.values()))
+        # each Newton panel evaluates S and f at 15 nodes and at y
+        panels = far["opra"].result.iterations - near["opra"].result.iterations
+        assert far_args - near_args == 32 * panels
+
+    def test_minus_300_db_raises_before_any_newton_panel(self):
+        rows, args = self.sweep_point(-300.0)
+        near, near_args = self.sweep_point(0.0)
+        for name in ("opra", "tcifr"):
+            assert "no power-adaptation cutoff above 1e-12" in rows[name].error
+        assert args == near_args - 32 * near["opra"].result.iterations
+        unit, _ = self.counted_unit()
+        with pytest.raises(RootNotBracketed):
+            capacity.opra_cutoff(unit.scaled(1e-30))

@@ -11,8 +11,12 @@ largest absolute and the largest relative change of its numbers.
 Under capacity-sweep and validate it then lists each capacity cell that
 moved (the ``capacity_bits_per_hz`` column, or a report's ``analytic``
 column) and whether the move lies within the base's plus the head's
-``quad_error`` of that cell, the bound a speedup must keep.  Exits 1 if
-any command's stdout, stderr or exit code differs between the revisions.
+``quad_error`` of that cell, the bound a speedup must keep.  Under
+capacity-sweep and opra-cutoff it lists each cutoff cell that moved
+(the ``cutoff`` column, or the ``gamma0`` column) with its relative
+change, flagged when that exceeds 1e-9, the resolution of the printed
+9 significant digits.  Exits 1 if any command's stdout, stderr or exit
+code differs between the revisions.
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ ENTRY = "import sys; from relaycap.cli import main; sys.exit(main(sys.argv[1:]))
 # the column that carries each policy's capacity, by command
 CAPACITY_COLUMNS = {"capacity-sweep": "capacity_bits_per_hz",
                     "validate": "analytic"}
+# the column that carries the cutoff and the columns that name its row,
+# by command, and the relative move above which a cutoff cell is flagged
+CUTOFF_COLUMNS = {"capacity-sweep": ("cutoff", ("snr_db", "policy")),
+                  "opra-cutoff": ("gamma0", ("snr_db",))}
+CUTOFF_FLAG = 1e-9
 
 
 def run(tree: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
@@ -154,6 +163,27 @@ def capacity_moves(command: str, base: bytes,
     return lines
 
 
+def cutoff_moves(command: str, base: bytes,
+                 head: bytes) -> list[tuple[str, bool]]:
+    """One line per moved cutoff cell with its relative change, and
+    whether that change exceeds ``CUTOFF_FLAG``."""
+    column, names = CUTOFF_COLUMNS[command]
+    a, b = ({" ".join(f"{k}={row[k]}" for k in names): row[column]
+             for row in csv.DictReader(io.StringIO(out.decode(
+                 errors="replace")))} for out in (base, head))
+    lines = []
+    for key, value_a in a.items():
+        value_b = b.get(key)
+        if value_b is None or value_b == value_a or not (
+                is_number(value_a) and is_number(value_b)):
+            continue
+        move = relative_move(float(value_a), float(value_b))
+        flagged = move > CUTOFF_FLAG
+        lines.append((f"  {key}: {column} {value_a} -> {value_b}, relative "
+                      f"{move:.3g}{' FLAGGED' if flagged else ''}", flagged))
+    return lines
+
+
 def compare(base: tuple[bytes, bytes, int],
             head: tuple[bytes, bytes, int]) -> str:
     if base == head:
@@ -176,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
 
     revs = {"base": git("rev-parse", args.base),
             "head": git("rev-parse", args.head)}
-    differing = moved = beyond = 0
+    differing = moved = beyond = cut_moved = cut_flagged = 0
     with tempfile.TemporaryDirectory(prefix="shipped-outputs-") as tmp:
         trees = {side: Path(tmp) / side for side in revs}
         for side, rev in revs.items():
@@ -194,10 +224,18 @@ def main(argv: list[str] | None = None) -> int:
                         moved += 1
                         beyond += not within
                         print(line, flush=True)
+                if command[0] in CUTOFF_COLUMNS and base[2] == head[2] == 0:
+                    for line, flagged in cutoff_moves(command[0], base[0],
+                                                      head[0]):
+                        cut_moved += 1
+                        cut_flagged += flagged
+                        print(line, flush=True)
     total = len(CONFIGS) * len(COMMANDS)
     print(f"{total - differing} of {total} commands identical; "
           f"{moved} capacity cell(s) moved, {beyond} of them not within "
-          f"the base plus head quad_error")
+          f"the base plus head quad_error; {cut_moved} cutoff cell(s) "
+          f"moved, {cut_flagged} of them by more than {CUTOFF_FLAG:g} "
+          f"relative")
     return 1 if differing else 0
 
 
