@@ -544,6 +544,9 @@ def _tcifr(ch: EndToEndChannel, pl: float, cutoff: float, above: "_Above",
 
 @dataclass(frozen=True)
 class CutoffSolve:
+    """A cutoff root, the Newton panels it took, and the residual |G| of
+    the cutoff condition there."""
+
     root: float
     iterations: int
     residual: float
