@@ -43,7 +43,7 @@ _TABLE_CELLS = 32
 _TABLE_ABOVE = 4.0
 _TABLE_TOL = 1e-12
 _TABLE_MAX_CELLS = 512
-_LAW_BATCH = 256
+_LAW_BATCH = 128
 _SF_DIGITS = 1e-4
 _MOMENT_OCTAVES = 32
 _MOMENT_MIN_OCTAVES = 8

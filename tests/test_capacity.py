@@ -40,6 +40,8 @@ OPRA_CUTOFF_EXP1 = 0.39377384504511836
 OPRA_EXP1 = 0.5142694626797389
 TCIFR_EXP1_CUT1 = 0.4551814002826348
 TCIFR_EXP1_CUT25 = 2.8307673118453606e-10
+# below the unit-law table of Exp(1), which starts near 1e-11
+TCIFR_EXP1_CUT1EM13 = 0.024162832618618646
 EFFECTIVE_EXP1 = {
     0.5: 0.40807016360737514,
     1.0: 0.38760796109766565,
@@ -202,6 +204,12 @@ class TestTcifr:
     def test_far_cutoff_collapses_to_outage(self, exp1):
         r = capacity.tcifr(exp1, 25.0)
         assert r.capacity == pytest.approx(TCIFR_EXP1_CUT25, rel=1e-4)
+
+    def test_cutoffs_off_the_table(self, exp1):
+        low = capacity.tcifr(exp1, 1e-13)
+        assert abs(low.capacity - TCIFR_EXP1_CUT1EM13) <= low.quad_error
+        high = capacity.tcifr(exp1, 1e4)
+        assert high.capacity == 0.0 and high.diagnostic is not None
 
     def test_gamma_shape_two(self, gamma2):
         r = capacity.tcifr(gamma2, 0.5)
