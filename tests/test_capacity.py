@@ -413,10 +413,11 @@ class TestTableOracles:
     @pytest.fixture(scope="class", params=[-100.0, 0.0, 30.0, 100.0])
     def case(self, request, unit):
         """The channel at the SNR point, m, the mpmath root y0 of the
-        cutoff condition on the unit law, and the prelog / ln 2."""
+        cutoff condition on the unit law, and the prelog / ln 2; mpmath
+        works at 40 digits while the point's tests run."""
         import mpmath as mp
 
-        mp.mp.dps = 40
+        dps, mp.mp.dps = mp.mp.dps, 40
         m = mp.mpf(10) ** (mp.mpf(request.param) / 10)
         lm = mp.log(m)
 
@@ -426,8 +427,9 @@ class TestTableOracles:
 
         y0 = mp.exp(mp.findroot(lambda u: mp.log(h(mp.exp(u))) - lm,
                                 (-30, 4), solver="anderson"))
-        return (unit.scaled(10.0 ** (request.param / 10.0)), m, y0,
-                1 / (2 * mp.log(2)))
+        yield (unit.scaled(10.0 ** (request.param / 10.0)), m, y0,
+               1 / (2 * mp.log(2)))
+        mp.mp.dps = dps
 
     @staticmethod
     def within(got: float, want, err: float) -> None:
