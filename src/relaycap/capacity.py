@@ -128,17 +128,6 @@ def _checked(value: float, err: float) -> tuple[float, float]:
     return value, err
 
 
-def _tail(ch: EndToEndChannel,
-          fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lower: float,
-          *, density: bool = False) -> tuple[float, float]:
-    """Checked integral over [lower, inf) of fn(g, _law(ch, g, density)),
-    over the map g = lower + s*t/(1-t) with s a tenth of the support."""
-    return _checked(*integrate_semi_infinite(
-        lambda g: fn(g, _law(ch, g, density)), lower,
-        scale=max(ch.support_hint / 10.0, 1e-12), rel_tol=_REL_TOL,
-    ))
-
-
 def _derived(memo: dict, key: str, compute: Callable[[], object]):
     """``compute()`` kept under ``key`` in ``memo``, computed once.
 
@@ -163,17 +152,24 @@ class _Table:
     moved into the kernel, so one table of the survival S and the
     density f at the Kronrod nodes of every cell serves every SNR
     point.  The cells start uniform, of width 1 on
-    [ln(support_hint) - 28, ln(support_hint) + 4]; a cell whose panel
-    error on the mass f e^u or on S exceeds ``_TABLE_TOL`` is halved
-    until none does, within ``_TABLE_MAX_CELLS`` cells.  ``edge_sf`` is
-    S at every edge, ``low_cdf`` F at the lowest and ``top_sf`` S at
-    the highest; ``mass`` and ``inv`` hold each cell's integrals of
-    f(x) and f(x)/x, i.e. of f e^u and f over u, and their errors.
+    [ln(support_hint) - 28, ln(support_hint) + 4], and more unit cells
+    are added below and above until F at the lowest edge and S at the
+    highest are at most ``_TABLE_TOL`` (see ``_widen``); then a cell
+    whose panel error on the mass f e^u or on S exceeds ``_TABLE_TOL``
+    is halved until none does.  Both stop at ``_TABLE_MAX_CELLS``
+    cells.  ``edge_sf`` is S at every edge, ``low_cdf`` F at the lowest
+    and ``top_sf`` S at the highest, and ``top_inv`` = top_sf e^-u_top
+    bounds the integral of f(x)/x above the table; ``mass`` and ``inv``
+    hold each cell's integrals of f(x) and f(x)/x, i.e. of f e^u and f
+    over u, and their errors.
     """
 
     def __init__(self, ch: EndToEndChannel):
         top = math.log(ch.support_hint) + _TABLE_ABOVE
-        edges = top - np.arange(_TABLE_CELLS, -1, -1.0)
+        room = _TABLE_MAX_CELLS - _TABLE_CELLS
+        up = _widen(ch, top, 1.0, room)
+        down = _TABLE_CELLS + _widen(ch, top - _TABLE_CELLS, -1.0, room - up)
+        edges = top + np.arange(-down, up + 1.0)
         lo, hi = edges[:-1], edges[1:]
         sf, pdf = _law_at(ch, panel_nodes(lo, hi))
         while True:
@@ -196,6 +192,7 @@ class _Table:
         self.sf, self.pdf = sf, pdf
         cdf = np.clip(_batched(ch.cdf, np.exp(self.edges)), 0.0, 1.0)
         self.low_cdf, self.top_sf = float(cdf[0]), float(1.0 - cdf[-1])
+        self.top_inv = self.top_sf * math.exp(-self.edges[-1])
         self.edge_sf = 1.0 - cdf
         self.mass = panel_sums(pdf * np.exp(nodes), half)
         self.inv = panel_sums(pdf, half)
@@ -212,10 +209,11 @@ class _Table:
         For y on the table, the cells above the one holding y come from
         the table; the part of that cell above y is one fresh GK15
         panel, and the law is evaluated at its nodes and at y (one CDF
-        and one density call).  Off the table (a pinned tcifr cutoff
-        only) the law is taken as empty above it, with S at the top
-        edge charged, and below it the integral of f/x up to the lowest
-        edge is an adaptive quadrature over u.
+        and one density call).  Off the table the law is taken as empty
+        above it, with S at the top edge charged; below it (a pinned
+        tcifr cutoff, or a cutoff at a mean so high that y is below the
+        table) the integral of f/x up to the lowest edge is an adaptive
+        quadrature over u, and the partial panel is empty.
         """
         u = math.log(y)
         if not self.edges[0] <= u < self.edges[-1]:
@@ -225,6 +223,7 @@ class _Table:
                 inv = _plus(_checked(*integrate(
                     lambda v: _law(ch, np.exp(v), density=True), u,
                     self.edges[0], rel_tol=_REL_TOL)), _summed(self.inv))
+                inv = (inv[0], inv[1] + self.top_inv)
             none = np.zeros((0, 15))
             return _Above(y, -1, none, none[:, 0], none, none, float(f[0]),
                           (float(sf[0]), _EPS), inv)
@@ -242,7 +241,7 @@ class _Table:
         survival = ((float(sf[-1]), _EPS) if sf[-1] >= _SF_DIGITS
                     else (mass[0] + self.top_sf, mass[1]))
         return _Above(y, k, nodes, half, sf_nodes, f_nodes, float(f[-1]),
-                      survival, (inv[0], inv[1] + self.top_sf / y))
+                      survival, (inv[0], inv[1] + self.top_inv))
 
     def h_edges(self) -> np.ndarray:
         """H(y) = S(y)/y - integral_y^inf f(t)/t dt at every cell edge,
@@ -272,6 +271,24 @@ class _Above:
         """H(y) and its quadrature error."""
         return (self.survival[0] / self.y - self.inv[0],
                 self.survival[1] / self.y + self.inv[1])
+
+
+def _widen(ch: EndToEndChannel, edge: float, step: float,
+           room: int) -> int:
+    """Fewest unit steps from the edge u = ``edge``, at most ``room``,
+    past which the unit law holds at most ``_TABLE_TOL``: F below the
+    new edge for a ``step`` of -1, S above it for +1.  F is read at
+    ``_TABLE_CELLS`` + 1 edges per law call."""
+    steps = np.arange(_TABLE_CELLS + 1.0)
+    done = 0
+    while done < room:
+        cdf = np.clip(_batched(ch.cdf, np.exp(edge + step * (done + steps))),
+                      0.0, 1.0)
+        ok = np.flatnonzero((cdf if step < 0.0 else 1.0 - cdf) <= _TABLE_TOL)
+        if ok.size:
+            return min(done + int(ok[0]), room)
+        done += _TABLE_CELLS
+    return room
 
 
 def _law_at(ch: EndToEndChannel, u: np.ndarray):
@@ -312,6 +329,19 @@ def _unit_table(ch: EndToEndChannel) -> tuple[_Table, float]:
     return _derived(base.memo, "table", lambda: _Table(base)), ch.factor
 
 
+def _top_charge(tab: _Table, kernel: float) -> float:
+    """Bound on the part above the table of an integral over u of
+    S(e^u) k(u) or of f(e^u) e^u k(u), given ``kernel`` = k(u_top).
+
+    In x these integrate S(x) k/x or f(x) k, and every k/x (for S) or
+    k (for f) used here falls as x grows.  So the part above x_top is
+    at most k(u_top) S(x_top): for f at once, for S while the law's
+    mean excess above x_top is at most x_top, which holds far past its
+    1 - 1e-6 quantile.  ``opra`` charges S(x_top) on that ground, k = 1.
+    """
+    return tab.top_sf * kernel
+
+
 def _sf_integral(sf: np.ndarray, kernel: np.ndarray,
                  half: np.ndarray) -> tuple[float, float]:
     """Integral over panels of S times ``kernel``, and its error.
@@ -334,14 +364,17 @@ def ora(ch: EndToEndChannel,
     S(e^u) * m e^u/(1 + m e^u), read off the unit-law table.  Below the
     table S is taken as 1, which closes the integral with
     ln(1 + m e^u_lo); F(e^u_lo) times that closure is charged to the
-    error.
+    error.  Above the table S is taken as 0, and S(e^u_top) times the
+    kernel at u_top is charged (see ``_top_charge``).
     """
     pl = _prelog(prelog)
     tab, m = _unit_table(ch)
     w = tab.nodes + math.log(m)  # m x = e^w
     val, err = _sf_integral(tab.sf, special.expit(w), tab.half)
     closure = float(np.logaddexp(0.0, tab.edges[0] + math.log(m)))
-    val, err = _checked(val + closure, err + tab.low_cdf * closure)
+    top = _top_charge(tab, float(special.expit(tab.edges[-1] + math.log(m))))
+    val, err = _checked(val + closure,
+                        err + tab.low_cdf * closure + top)
     cap = max(pl / LN2 * val, 0.0)
     return PolicyResult(
         capacity=cap,
@@ -356,7 +389,9 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
     capacity = -(1/d) * ln E[(1+g)^(-d*prelog/ln 2)] with d = qos_delta.
     The natural log makes the d -> 0 limit recover ``ora`` exactly.
     Both forms below are integrals over the unit-law table, with
-    w = ln(m x); below the table the law is closed as in ``ora``.
+    w = ln(m x); below the table the law is closed as in ``ora``, and
+    above it each form is charged S at the top edge times its kernel
+    there (see ``_top_charge``).
     """
     pl = _prelog(prelog)
     d = params.qos_delta
@@ -365,6 +400,8 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
     w = tab.nodes + math.log(m)  # m x = e^w
     soft = np.logaddexp(0.0, w)  # ln(1 + m x)
     soft_lo = float(np.logaddexp(0.0, tab.edges[0] + math.log(m)))
+    w_top = tab.edges[-1] + math.log(m)
+    soft_top = float(np.logaddexp(0.0, w_top))
     if min(a, a * ch.support_hint) <= _EFFECTIVE_PARTS_LIMIT:
         # Density-form quadrature noise on the moment is amplified by
         # 1/d in the capacity; the by-parts form E = 1 - a*int (1-F) *
@@ -374,7 +411,9 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
         tail, err = _sf_integral(tab.sf, np.exp(w - (a + 1.0) * soft),
                                  tab.half)
         closure = -math.expm1(-a * soft_lo) / a
-        tail, err = _checked(tail + closure, err + tab.low_cdf * closure)
+        top = _top_charge(tab, math.exp(w_top - (a + 1.0) * soft_top))
+        tail, err = _checked(tail + closure,
+                             err + tab.low_cdf * closure + top)
         val, err = 1.0 - a * tail, a * err
     else:
         tail = None
@@ -382,8 +421,9 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
         # the mass F(e^u_lo) below the table sees a kernel in
         # [(1 + m e^u_lo)^-a, 1]: take the midpoint, charge half the span
         low = math.exp(-a * soft_lo)
+        top = _top_charge(tab, math.exp(-a * soft_top))
         val, err = _checked(val + 0.5 * tab.low_cdf * (1.0 + low),
-                            err + 0.5 * tab.low_cdf * (1.0 - low))
+                            err + 0.5 * tab.low_cdf * (1.0 - low) + top)
     if val <= 0.0:
         raise RelayCapError(
             "effective-capacity moment integral collapsed to zero; "
@@ -425,7 +465,11 @@ def _octave_moment(ch: EndToEndChannel) -> tuple[float, float]:
     found divergent raises ``DivergentIntegral``.
     """
     hi = ch.support_hint
-    total, err = _tail(ch, lambda g, f: f / g, hi, density=True)
+    # above the support: the map g = hi + s*t/(1-t), s a tenth of hi
+    total, err = _checked(*integrate_semi_infinite(
+        lambda g: _law(ch, g, density=True) / g, hi,
+        scale=max(hi / 10.0, 1e-12), rel_tol=_REL_TOL,
+    ))
     octaves: list[float] = []
     for _ in range(_MOMENT_OCTAVES):
         v, e = integrate(lambda g: _law(ch, g, density=True) / g, 0.5 * hi,
@@ -535,7 +579,7 @@ def _tcifr(ch: EndToEndChannel, pl: float, cutoff: float, above: "_Above",
         # f(y) * (coverage / (y m (T^2 + T)) - rate)
         y = above.y
         slope = above.pdf_y * abs(coverage / (y * m * (t * t + t)) - rate)
-        err += slope * h_err * y * y / coverage
+        err += slope * (h_err * y) * (y / coverage)
     return PolicyResult(
         capacity=cap, cutoff=cutoff,
         quad_error=_fold_mass(pl / LN2 * err, ch, cap),
@@ -576,25 +620,31 @@ def _cutoff_solve(ch: EndToEndChannel) -> _Cutoff:
     table's cell integrals) bracket the root in one cell, and Newton's
     method in u = ln y finishes there.  Each Newton step is one fresh
     GK15 panel on the part of the cell above y; a step that leaves the
-    bracket bisects it.  The residual is |H/m - 1| = |G| of the cutoff
-    condition in g.  A root below 1e-12 raises ``RootNotBracketed``.
+    bracket bisects it.  At a mean so high that H at the lowest edge is
+    below m, H(y) <= 1/y puts the root at or below y = 1/m, and Newton
+    runs on the bracket from there down to a unit below the floor, each
+    step one adaptive quadrature below the table (see ``_Table.above``).
+    The residual is |H/m - 1| = |G| of the cutoff condition in g.  A
+    root below 1e-12 raises ``RootNotBracketed``.
     """
     tab, m = _unit_table(ch)
     if m * math.exp(tab.edges[-1]) < _CUTOFF_FLOOR:
         raise RootNotBracketed(_DEGRADED)
     h = tab.h_edges()
-    if not h[0] >= m:
-        raise RootNotBracketed(
-            f"the power-adaptation cutoff lies below the unit-law table "
-            f"(cutoff < {m * math.exp(tab.edges[0]):.3g})"
-        )
-    k = int(np.flatnonzero(h >= m)[-1])
-    if k == h.size - 1:
-        raise RootNotBracketed(_DEGRADED)
-    lo, hi = tab.edges[k], tab.edges[k + 1]
-    # first guess: ln H linear in u across the cell
-    u = lo + (hi - lo) * (math.log(h[k] / m) / math.log(h[k] / h[k + 1])
-                          if h[k + 1] > 0.0 else 0.5)
+    if h[0] >= m:
+        k = int(np.flatnonzero(h >= m)[-1])
+        if k == h.size - 1:
+            raise RootNotBracketed(_DEGRADED)
+        lo, hi = tab.edges[k], tab.edges[k + 1]
+        # first guess: ln H linear in u across the cell
+        u = lo + (hi - lo) * (math.log(h[k] / m) / math.log(h[k] / h[k + 1])
+                              if h[k + 1] > 0.0 else 0.5)
+    else:
+        # a root under the floor converges below it, and raises below
+        lo = math.log(_CUTOFF_FLOOR / m) - 1.0
+        u = hi = min(tab.edges[0], -math.log(m))
+        if not lo < hi:
+            raise RootNotBracketed(_DEGRADED)
     panels = 0
     while True:
         above = tab.above(ch.unit or ch, math.exp(u))
@@ -647,21 +697,29 @@ def _opra(ch: EndToEndChannel, pl: float) -> PolicyResult:
     tab, _ = _unit_table(ch)
     above = cut.above
     u, start = math.log(above.y), above.cell + 1
-    # integral over u > ln y of S; the survival above the table is
-    # charged once
+    # integral over u > ln y of S, and its part above the table charged
     ones = np.ones_like(tab.nodes)
     val, e_sf = _plus(_sf_integral(above.sf, ones[:1], above.half),
                       _sf_integral(tab.sf[start:], ones[start:],
                                    tab.half[start:]))
-    e_sf += tab.top_sf
+    e_sf += _top_charge(tab, 1.0)
 
     # Independent route: E[log(g/cutoff); g > cutoff], equal by parts.
     def log_ratio(nodes, pdf):
         return pdf * np.exp(nodes) * (nodes - u)
 
+    # up to the top edge T the two routes differ by S(T) ln(T/y)
     chk, e_f = _plus(
         _summed(panel_sums(log_ratio(above.nodes, above.pdf), above.half)),
         tab.integral(log_ratio(tab.nodes, tab.pdf), start))
+    chk += tab.top_sf * (tab.edges[-1] - u)
+    if u < tab.edges[0]:
+        # a root below the table: there S is taken as 1 and f as 0;
+        # what either misses is at most F at the lowest edge times gap
+        gap = tab.edges[0] - u
+        val += gap
+        e_sf += tab.low_cdf * gap
+        e_f += tab.low_cdf * gap
     cap = max(pl / LN2 * val, 0.0)
     cross = pl / LN2 * chk
     # a cutoff condition off by h_err moves the unit-law root by
@@ -690,8 +748,8 @@ def opra(ch: EndToEndChannel,
     reported as ``cross_check``.  Both are reverse sums over the
     unit-law table plus the cutoff solve's partial panel.  The root
     exists for any proper SNR law (even a point mass at m has one, at
-    m/(m+1)); only a numerically broken channel surfaces as
-    ``RootNotBracketed``.
+    m/(m+1)); only a numerically broken channel, or one so degraded
+    that the root lies below 1e-12, surfaces as ``RootNotBracketed``.
     """
     return _opra(ch, _prelog(prelog))
 

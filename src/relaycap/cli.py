@@ -79,10 +79,12 @@ family's mean (mean_snr, mean_power or mean_irradiance) is an error.
 MAX_GRID_POINTS = 100_000
 # Largest |dB| of a per-hop mean SNR.  At -100 and 100 dB,
 # capacity-sweep with all five policies exits 0 with an empty stderr on
-# one hop of each of the nine families and on the four shipped configs
-# (fig1_serial2 takes about 20 s a point there).  At -300 dB the opra
-# cutoff falls below the solver's 1e-12 floor; at 1000 dB tcifr's
-# reported error reaches 0.5.
+# one hop of each of the nine families and on the four shipped configs,
+# in 0.1-0.7 s a point after the imports (2-core VM).  At -300 dB the
+# opra cutoff falls below the solver's 1e-12 floor.  Past about 150 dB
+# the cutoff falls below the unit-law table and is solved below it, on
+# arguments under e^-35 where the gamma_gamma density no longer holds
+# (0 at e^-40, 692 at e^-60): fig1_serial2's tcifr is then wrong.
 SNR_DB_LIMIT = 100.0
 
 

@@ -394,13 +394,14 @@ class TestOrdering:
 
 
 class TestTableOracles:
-    """Every table route against mpmath, from -100 to 100 dB.
+    """Every table route against mpmath, from -100 to 150 dB.
 
     Best-of-3 relay selection over two-hop Exponential(1) branches has
     S(x) = 1 - (1 - e^-2x)^3 = 3e^-2x - 3e^-4x + e^-6x on its unit law,
     so ora, opra, tcifr and the cutoff condition are sums of E1 terms,
     and effective capacity is one mpmath quadrature.  Each value must
-    lie within its reported quad_error of the oracle.
+    lie within its reported quad_error of the oracle.  At 150 dB the
+    cutoff lies below the unit law's table.
     """
 
     TERMS = ((3, 2), (-3, 4), (1, 6))  # S(x) = sum a e^(-r x)
@@ -410,7 +411,7 @@ class TestTableOracles:
         return end_to_end(Selective(
             branches=((Exponential(1.0), Exponential(1.0)),) * 3))
 
-    @pytest.fixture(scope="class", params=[-100.0, 0.0, 30.0, 100.0])
+    @pytest.fixture(scope="class", params=[-100.0, 0.0, 30.0, 100.0, 150.0])
     def case(self, request, unit):
         """The channel at the SNR point, m, the mpmath root y0 of the
         cutoff condition on the unit law, and the prelog / ln 2; mpmath
@@ -426,7 +427,7 @@ class TestTableOracles:
                        for a, r in self.TERMS)
 
         y0 = mp.exp(mp.findroot(lambda u: mp.log(h(mp.exp(u))) - lm,
-                                (-30, 4), solver="anderson"))
+                                (-40, 4), solver="anderson"))
         yield (unit.scaled(10.0 ** (request.param / 10.0)), m, y0,
                1 / (2 * mp.log(2)))
         mp.mp.dps = dps
@@ -492,6 +493,92 @@ class TestTableOracles:
         root = cut.solve.root
         assert abs(root - float(m * y0)) <= bound + 4 * np.finfo(float).eps * root
         assert cut.solve.residual <= 1e-10
+
+
+class TestSmallShapeWeibull:
+    """One Weibull hop of shape 0.1 or 0.4 against mpmath at 0 and 100 dB.
+
+    Its CDF falls like x^shape toward the origin and its survival like
+    exp(-x^shape), so the unit-law table widens well past its 32 unit
+    cells.  With t = (x/scale)^shape the survival is e^-t: ora and
+    effective are quadratures over ln t, opra is E1(t_y)/shape, and
+    the cutoff condition is e^-t_y / y - Gamma(1 - 1/shape, t_y)/scale
+    = m on the unit law.  Every error must also stay below 1e-10: a
+    table that stopped short of the law's mass would charge the
+    missing mass instead.
+    """
+
+    @pytest.fixture(scope="class",
+                    params=[(k, db) for k in (0.1, 0.4) for db in (0.0, 100.0)])
+    def case(self, request):
+        """The channel, the shape k, ln(m scale) and the cutoff's t_y,
+        with mpmath at 30 digits while the case's tests run."""
+        import mpmath as mp
+
+        from relaycap.fading import Weibull
+
+        k, db = request.param
+        dps, mp.mp.dps = mp.mp.dps, 30
+        m = mp.mpf(10) ** (mp.mpf(db) / 10)
+        scale = 1 / mp.gamma(1 + 1 / mp.mpf(k))
+
+        def h(s):  # ln H(y) at t_y = e^s
+            t = mp.exp(s)
+            y = scale * t ** (1 / mp.mpf(k))
+            return mp.log(mp.exp(-t) / y - mp.gammainc(1 - 1 / mp.mpf(k), t)
+                          / scale)
+
+        s_y = mp.findroot(lambda s: h(s) - mp.log(m), -k * mp.log(m * scale),
+                          solver="secant")
+        unit = end_to_end(Serial(hops=(Weibull(shape=k),)))
+        yield unit.scaled(10.0 ** (db / 10.0)), k, mp.log(m * scale), \
+            mp.exp(s_y)
+        mp.mp.dps = dps
+
+    @staticmethod
+    def over_ln_t(k, c, kernel):
+        """Integral over s = ln t of e^-t t kernel(e^(c + s/k)), where
+        e^(c + s/k) = m x; the integrand's bend sits near s = -k c."""
+        import mpmath as mp
+
+        bend = min(-k * c, -5)
+        return mp.quad(lambda s: mp.exp(s - mp.exp(s))
+                       * kernel(mp.exp(c + s / k)),
+                       [-90, bend - 20, bend, 0, 4])
+
+    def test_ora(self, case):
+        import mpmath as mp
+
+        ch, k, c, _ = case
+        # (pl/ln 2) E[ln(1 + m x)], by parts the integral of S m/(1 + m x)
+        want = self.over_ln_t(k, c, mp.log1p) / (2 * mp.log(2))
+        r = capacity.ora(ch)
+        assert abs(r.capacity - float(want)) <= r.quad_error
+        assert r.quad_error < 1e-10
+
+    def test_effective(self, case):
+        import mpmath as mp
+
+        ch, k, c, _ = case
+        a = 1 / (2 * mp.log(2))
+        gap = self.over_ln_t(k, c, lambda mx: -mp.expm1(-a * mp.log1p(mx)))
+        r = capacity.effective(ch, EffectiveCapacityParams(1.0))
+        assert abs(r.capacity - float(-mp.log1p(-gap))) <= r.quad_error
+        assert r.quad_error < 1e-10
+
+    def test_opra_and_its_cutoff(self, case):
+        import mpmath as mp
+
+        ch, k, c, t_y = case
+        want = mp.e1(t_y) / (2 * mp.log(2) * k)
+        r = capacity.opra(ch)
+        assert r.diagnostic is None
+        assert abs(r.capacity - float(want)) <= r.quad_error
+        assert abs(r.cross_check - float(want)) <= r.quad_error
+        assert r.quad_error < 1e-10
+        # the root is m y = m scale t_y^(1/k)
+        assert r.cutoff == pytest.approx(
+            float(mp.exp(c) * t_y ** (1 / mp.mpf(k))), rel=1e-9)
 
 
 class TestCutoffResidualCharge:
