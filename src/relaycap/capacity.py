@@ -12,8 +12,10 @@ Those integrals are read off one table per unit law (``_Table``): GK15
 panels on cells of a grid in u = ln x, built on the first policy call
 and kept in the unit law's memo.  The opra cutoff at every mean is the
 root of one decreasing function of X, bracketed on the table's cell
-edges and polished by Newton steps of one fresh panel each.  ``cifr``
-sums E[1/X] once per unit law, octave by octave.
+edges and polished by Newton steps of one fresh panel each (of one
+adaptive quadrature each where, at a very high mean, the root lies
+below the table).  ``cifr`` sums E[1/X] once per unit law, octave by
+octave.
 """
 
 from __future__ import annotations
@@ -162,6 +164,14 @@ class _Table:
     bounds the integral of f(x)/x above the table; ``mass`` and ``inv``
     hold each cell's integrals of f(x) and f(x)/x, i.e. of f e^u and f
     over u, and their errors.
+
+    Above the table every policy takes the law as empty and charges
+    top_sf times its kernel k at the top edge.  Its integrals over u of
+    S(e^u) k or f(e^u) e^u k are, in x, integrals of S k/x or f k, and
+    every such k/x or k falls as x grows; so the part above x_top is at
+    most k(x_top) top_sf: for f at once, for S while the law's mean
+    excess above x_top is at most x_top, which holds far past its
+    1 - 1e-6 quantile.
     """
 
     def __init__(self, ch: EndToEndChannel):
@@ -329,19 +339,6 @@ def _unit_table(ch: EndToEndChannel) -> tuple[_Table, float]:
     return _derived(base.memo, "table", lambda: _Table(base)), ch.factor
 
 
-def _top_charge(tab: _Table, kernel: float) -> float:
-    """Bound on the part above the table of an integral over u of
-    S(e^u) k(u) or of f(e^u) e^u k(u), given ``kernel`` = k(u_top).
-
-    In x these integrate S(x) k/x or f(x) k, and every k/x (for S) or
-    k (for f) used here falls as x grows.  So the part above x_top is
-    at most k(u_top) S(x_top): for f at once, for S while the law's
-    mean excess above x_top is at most x_top, which holds far past its
-    1 - 1e-6 quantile.  ``opra`` charges S(x_top) on that ground, k = 1.
-    """
-    return tab.top_sf * kernel
-
-
 def _sf_integral(sf: np.ndarray, kernel: np.ndarray,
                  half: np.ndarray) -> tuple[float, float]:
     """Integral over panels of S times ``kernel``, and its error.
@@ -365,14 +362,14 @@ def ora(ch: EndToEndChannel,
     table S is taken as 1, which closes the integral with
     ln(1 + m e^u_lo); F(e^u_lo) times that closure is charged to the
     error.  Above the table S is taken as 0, and S(e^u_top) times the
-    kernel at u_top is charged (see ``_top_charge``).
+    kernel at u_top is charged (see ``_Table``).
     """
     pl = _prelog(prelog)
     tab, m = _unit_table(ch)
     w = tab.nodes + math.log(m)  # m x = e^w
     val, err = _sf_integral(tab.sf, special.expit(w), tab.half)
     closure = float(np.logaddexp(0.0, tab.edges[0] + math.log(m)))
-    top = _top_charge(tab, float(special.expit(tab.edges[-1] + math.log(m))))
+    top = tab.top_sf * float(special.expit(tab.edges[-1] + math.log(m)))
     val, err = _checked(val + closure,
                         err + tab.low_cdf * closure + top)
     cap = max(pl / LN2 * val, 0.0)
@@ -391,7 +388,7 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
     Both forms below are integrals over the unit-law table, with
     w = ln(m x); below the table the law is closed as in ``ora``, and
     above it each form is charged S at the top edge times its kernel
-    there (see ``_top_charge``).
+    there (see ``_Table``).
     """
     pl = _prelog(prelog)
     d = params.qos_delta
@@ -411,7 +408,7 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
         tail, err = _sf_integral(tab.sf, np.exp(w - (a + 1.0) * soft),
                                  tab.half)
         closure = -math.expm1(-a * soft_lo) / a
-        top = _top_charge(tab, math.exp(w_top - (a + 1.0) * soft_top))
+        top = tab.top_sf * math.exp(w_top - (a + 1.0) * soft_top)
         tail, err = _checked(tail + closure,
                              err + tab.low_cdf * closure + top)
         val, err = 1.0 - a * tail, a * err
@@ -421,7 +418,7 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
         # the mass F(e^u_lo) below the table sees a kernel in
         # [(1 + m e^u_lo)^-a, 1]: take the midpoint, charge half the span
         low = math.exp(-a * soft_lo)
-        top = _top_charge(tab, math.exp(-a * soft_top))
+        top = tab.top_sf * math.exp(-a * soft_top)
         val, err = _checked(val + 0.5 * tab.low_cdf * (1.0 + low),
                             err + 0.5 * tab.low_cdf * (1.0 - low) + top)
     if val <= 0.0:
@@ -588,7 +585,8 @@ def _tcifr(ch: EndToEndChannel, pl: float, cutoff: float, above: "_Above",
 
 @dataclass(frozen=True)
 class CutoffSolve:
-    """A cutoff root, the Newton panels it took, and the residual |G| of
+    """A cutoff root, the Newton steps it took (one fresh panel each, or
+    below the table one adaptive quadrature), and the residual |G| of
     the cutoff condition there."""
 
     root: float
@@ -697,12 +695,12 @@ def _opra(ch: EndToEndChannel, pl: float) -> PolicyResult:
     tab, _ = _unit_table(ch)
     above = cut.above
     u, start = math.log(above.y), above.cell + 1
-    # integral over u > ln y of S, and its part above the table charged
+    # integral over u > ln y of S, with the table's charge above it
     ones = np.ones_like(tab.nodes)
     val, e_sf = _plus(_sf_integral(above.sf, ones[:1], above.half),
                       _sf_integral(tab.sf[start:], ones[start:],
                                    tab.half[start:]))
-    e_sf += _top_charge(tab, 1.0)
+    e_sf += tab.top_sf
 
     # Independent route: E[log(g/cutoff); g > cutoff], equal by parts.
     def log_ratio(nodes, pdf):
