@@ -6,16 +6,17 @@ inversion with fixed rate (``cifr``), its truncated form (``tcifr``)
 and joint power-and-rate adaptation above a solved cutoff (``opra``).
 All capacities are in bits/s/Hz and carry a quadrature error estimate.
 
-A channel at mean m is m times its unit-mean law X, so every policy
-but ``cifr`` is an integral against X with m moved into the kernel.
-Those integrals are read off one table per unit law (``_Table``): GK15
-panels on cells of a grid in u = ln x, built on the first policy call
-and kept in the unit law's memo.  The opra cutoff at every mean is the
+A channel at mean m is m times its unit-mean law X, so every policy is
+an integral against X with m moved into the kernel.  Those integrals
+are read off one table per unit law (``_Table``): GK15 panels on cells
+of a grid in u = ln x, built on the first policy call and kept in the
+unit law's memo, and closed at its bottom by a power-law tail read off
+its three lowest unit spans.  The opra cutoff at every mean is the
 root of one decreasing function of X, bracketed on the table's cell
-edges and polished by Newton steps of one fresh panel each (of one
-adaptive quadrature each where, at a very high mean, the root lies
-below the table).  ``cifr`` sums E[1/X] once per unit law, octave by
-octave.
+edges and polished by Newton steps of one fresh panel each (of the
+tail alone where, at a very high mean, the root lies below the table).
+``cifr`` reads E[1/X] once per unit law: the table's sum plus the tail
+to the origin.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ import numpy as np
 from scipy import special
 
 from .errors import DivergentIntegral, RelayCapError, RootNotBracketed
-from .quadrature import (integrate, integrate_semi_infinite, panel_nodes,
-                         panel_sums)
+# integrate stays bound here for bench/selftest.py's tracer checks
+from .quadrature import integrate, panel_nodes, panel_sums  # noqa: F401
 from .topology import EndToEndChannel
 
 LN2 = math.log(2.0)
 
-_REL_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 _CUTOFF_RESIDUAL = 1e-10
 _CUTOFF_MAX_NEWTON = 60
@@ -47,9 +47,6 @@ _TABLE_TOL = 1e-12
 _TABLE_MAX_CELLS = 512
 _LAW_BATCH = 128
 _SF_DIGITS = 1e-4
-_MOMENT_OCTAVES = 32
-_MOMENT_MIN_OCTAVES = 8
-_MOMENT_DRIFT_TOL = 1e-4
 _EFFECTIVE_PARTS_LIMIT = 0.01  # a or a * support below which by-parts wins
 
 
@@ -84,7 +81,7 @@ class PolicyResult:
     """Capacity value plus solver diagnostics.
 
     ``cutoff`` is set by the policies that use one, ``iterations``
-    counts root-solver objective evaluations, ``cross_check`` carries
+    counts the cutoff solve's Newton panels, ``cross_check`` carries
     the independently integrated form where one exists, and
     ``diagnostic`` flags degenerate outcomes (e.g. a divergent inverse
     moment).  ``quad_error`` always includes any grid resolution loss
@@ -107,13 +104,6 @@ def _prelog(prelog: PrelogFactor | float) -> float:
     if isinstance(prelog, PrelogFactor):
         return prelog.value
     return PrelogFactor(float(prelog)).value
-
-
-def _law(ch: EndToEndChannel, g, density: bool = False) -> np.ndarray:
-    """Clipped survival 1 - F(g), or with ``density`` the clipped f(g)."""
-    if density:
-        return np.maximum(np.asarray(ch.pdf(g), dtype=float), 0.0)
-    return np.clip(1.0 - np.asarray(ch.cdf(g), dtype=float), 0.0, 1.0)
 
 
 def _fold_mass(err: float, ch: EndToEndChannel, capacity: float) -> float:
@@ -165,13 +155,16 @@ class _Table:
     hold each cell's integrals of f(x) and f(x)/x, i.e. of f e^u and f
     over u, and their errors.
 
-    Above the table every policy takes the law as empty and charges
-    top_sf times its kernel k at the top edge.  Its integrals over u of
-    S(e^u) k or f(e^u) e^u k are, in x, integrals of S k/x or f k, and
-    every such k/x or k falls as x grows; so the part above x_top is at
-    most k(x_top) top_sf: for f at once, for S while the law's mean
-    excess above x_top is at most x_top, which holds far past its
-    1 - 1e-6 quantile.
+    Below the table every integral of f/x is a power-law tail read off
+    the table's lowest spans (see ``below``) and S is taken as 1, with
+    ``low_cdf`` charged; the law is not evaluated there.  Above the
+    table every policy takes the law as empty and charges top_sf times
+    its kernel k at the top edge.  Its integrals over u of S(e^u) k or
+    f(e^u) e^u k are, in x, integrals of S k/x or f k, and every such
+    k/x or k falls as x grows; so the part above x_top is at most
+    k(x_top) top_sf: for f at once, for S while the law's mean excess
+    above x_top is at most x_top, which holds far past its 1 - 1e-6
+    quantile.
     """
 
     def __init__(self, ch: EndToEndChannel):
@@ -206,6 +199,11 @@ class _Table:
         self.edge_sf = 1.0 - cdf
         self.mass = panel_sums(pdf * np.exp(nodes), half)
         self.inv = panel_sums(pdf, half)
+        # integrals of f over the three lowest unit spans of u, each a
+        # whole number of cells, and the lowest one's error
+        span = np.floor(0.5 * (lo + hi) - lo[0]).astype(int)
+        self.spans = np.bincount(span, self.inv[0])[:3]
+        self.span_err = float(self.inv[1][span == 0].sum())
 
     def integral(self, vals: np.ndarray, start: int = 0) -> tuple[float, float]:
         """Sum over the cells from ``start`` up of the panel integrals of
@@ -213,30 +211,58 @@ class _Table:
         its error: the panels' estimates plus a rounding floor."""
         return _summed(panel_sums(vals[start:], self.half[start:]))
 
+    def below(self, d: float) -> tuple[tuple[float, float], float]:
+        """The integral of f(x)/x over the d unit spans of u below the
+        table (d may be inf), and its error, and f at x = e^(u_lo - d).
+
+        Near 0 the law behaves like c x^(P-1), so the integrals of
+        f(e^u) over unit spans of u fall toward the origin by a ratio
+        r = e^(1-P), read as o0/o1 from the integrals o0, o1, o2 of the
+        three lowest spans.  The tail is taken at the midpoint of r's
+        bracket, 4 times its drift from o1/o2 either side (a cushion for
+        drifts contracting at rates down to about 0.8), with the
+        bracket's half-width charged.  When only some of the o are 0
+        the tail is 0 with 2 o0 charged; all 0 is a law without density
+        there.
+        """
+        o0, o1, o2 = self.spans
+        if not (o0 > 0.0 and o1 > 0.0 and o2 > 0.0):
+            return (0.0, 2.0 * o0), 0.0
+        r = o0 / o1
+        drift = 4.0 * abs(r - o1 / o2)
+        lo, _ = _power_tail(o0, max(r - drift, 0.0), d)
+        hi, _ = _power_tail(o0, r + drift, d)
+        _, pdf = _power_tail(o0, r, d)
+        if math.isinf(hi):
+            return (math.inf, math.inf), pdf
+        mid = 0.5 * (lo + hi)
+        return (mid, 0.5 * (hi - lo) + mid * self.span_err / o0), pdf
+
     def above(self, ch: EndToEndChannel, y: float) -> "_Above":
         """The unit law above y.
 
         For y on the table, the cells above the one holding y come from
         the table; the part of that cell above y is one fresh GK15
         panel, and the law is evaluated at its nodes and at y (one CDF
-        and one density call).  Off the table the law is taken as empty
-        above it, with S at the top edge charged; below it (a pinned
+        and one density call).  Above the table the law is taken as
+        empty, with S at the top edge charged.  Below it (a pinned
         tcifr cutoff, or a cutoff at a mean so high that y is below the
-        table) the integral of f/x up to the lowest edge is an adaptive
-        quadrature over u, and the partial panel is empty.
+        table) the integral of f/x and f(y) come from the power-law
+        tail (``below``), S(y) is 1 with ``low_cdf`` charged, and the
+        partial panel is empty.
         """
         u = math.log(y)
-        if not self.edges[0] <= u < self.edges[-1]:
+        none = np.zeros((0, 15))
+        if u < self.edges[0]:
+            tail, pdf_y = self.below(self.edges[0] - u)
+            inv = _plus(tail, _summed(self.inv))
+            return _Above(y, -1, none, none[:, 0], none, none, pdf_y,
+                          (1.0, self.low_cdf),
+                          (inv[0], inv[1] + self.top_inv))
+        if u >= self.edges[-1]:
             sf, f = _law_at(ch, np.array([u]))
-            inv = (0.0, self.top_sf / y)
-            if u < self.edges[0]:
-                inv = _plus(_checked(*integrate(
-                    lambda v: _law(ch, np.exp(v), density=True), u,
-                    self.edges[0], rel_tol=_REL_TOL)), _summed(self.inv))
-                inv = (inv[0], inv[1] + self.top_inv)
-            none = np.zeros((0, 15))
             return _Above(y, -1, none, none[:, 0], none, none, float(f[0]),
-                          (float(sf[0]), _EPS), inv)
+                          (float(sf[0]), _EPS), (0.0, self.top_sf / y))
         k = int(np.searchsorted(self.edges, u, side="right")) - 1
         nodes = panel_nodes(np.array([u]), self.edges[k + 1:k + 2])
         half = 0.5 * (self.edges[k + 1:k + 2] - u)
@@ -302,10 +328,28 @@ def _widen(ch: EndToEndChannel, edge: float, step: float,
 
 
 def _law_at(ch: EndToEndChannel, u: np.ndarray):
-    """S and f of ``ch`` at x = e^u, shaped like ``u``."""
+    """S = 1 - F clipped to [0, 1] and f clipped to >= 0, of ``ch`` at
+    x = e^u, shaped like ``u``."""
     x = np.exp(u).ravel()
-    return tuple(_batched(lambda g: _law(ch, g, density), x).reshape(u.shape)
-                 for density in (False, True))
+    sf = np.clip(1.0 - _batched(ch.cdf, x), 0.0, 1.0)
+    pdf = np.maximum(_batched(ch.pdf, x), 0.0)
+    return sf.reshape(u.shape), pdf.reshape(u.shape)
+
+
+def _power_tail(o0: float, r: float, d: float) -> tuple[float, float]:
+    """Integral of g(u) = a r^(u_lo - u) over the d units below u_lo, if
+    g integrates to ``o0`` over the unit above: o0 r (r^d - 1)/(r - 1),
+    by expm1, which keeps its digits near r = 1 (o0 d at r = 1); and g
+    at u_lo - d, a r^d with a = o0 r ln r/(r - 1)."""
+    if r <= 0.0:
+        return 0.0, 0.0
+    ln_r = math.log(r)
+    if ln_r == 0.0:
+        return o0 * d, o0
+    with np.errstate(over="ignore"):  # past the float range: inf
+        grow = float(np.expm1(d * ln_r))
+    scale = o0 * r / math.expm1(ln_r)
+    return scale * grow, scale * ln_r * (grow + 1.0)
 
 
 def _batched(fn: Callable, x: np.ndarray) -> np.ndarray:
@@ -438,72 +482,24 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
 def _inverse_moment(ch: EndToEndChannel) -> tuple[float, float]:
     """E[1/g] and its error.
 
-    A channel is ``factor`` times its unit law (itself, factor 1, when
-    it was not made by ``EndToEndChannel.scaled``), and
-    E[1/(cX)] = E[1/X]/c: the unit law's moment, or its divergence, is
-    computed once, kept in the unit channel's memo, and divided by the
-    factor c at every mean.
+    E[1/X] of the unit law is the table's cell integrals of f/x, its
+    power-law tail to the origin (``_Table.below``) and its charge
+    above the table.  A tail ratio bracket that reaches 1 means P <= 1
+    within resolution (the log case P = 1 too): the moment diverges,
+    and ``DivergentIntegral`` is raised.  The moment, or its
+    divergence, is kept in the unit law's memo and divided by the
+    factor c of a channel cX at every mean.
     """
-    base = ch.unit or ch
-    m, err = _derived(base.memo, "inverse_moment",
-                      lambda: _octave_moment(base))
+    def unit():
+        tab, _ = _unit_table(ch)
+        tail, _ = tab.below(math.inf)
+        if math.isinf(tail[1]):
+            raise DivergentIntegral("inverse-SNR moment diverges")
+        m, err = _plus(tail, _summed(tab.inv))
+        return _checked(m, err + tab.top_inv)
+
+    m, err = _derived((ch.unit or ch).memo, "inverse_moment", unit)
     return m / ch.factor, err / ch.factor
-
-
-def _octave_moment(ch: EndToEndChannel) -> tuple[float, float]:
-    """E[1/g] with the near-origin part summed octave by octave.
-
-    The density behaves like c * g^(p-1) toward the origin, so the
-    octave integrals of f/g approach a geometric sequence with ratio
-    2^-p.  The rational map alone stalls on that algebraic endpoint;
-    summing octaves until the ratio drift is small and closing with a
-    geometric tail does not.  The remaining ratio drift brackets the
-    tail, and the bracket width is charged to the error.  A moment
-    found divergent raises ``DivergentIntegral``.
-    """
-    hi = ch.support_hint
-    # above the support: the map g = hi + s*t/(1-t), s a tenth of hi
-    total, err = _checked(*integrate_semi_infinite(
-        lambda g: _law(ch, g, density=True) / g, hi,
-        scale=max(hi / 10.0, 1e-12), rel_tol=_REL_TOL,
-    ))
-    octaves: list[float] = []
-    for _ in range(_MOMENT_OCTAVES):
-        v, e = integrate(lambda g: _law(ch, g, density=True) / g, 0.5 * hi,
-                         hi, rel_tol=_REL_TOL)
-        v = max(float(v), 0.0)
-        octaves.append(v)
-        total += v
-        err += e
-        hi *= 0.5
-        if v <= 1e-16 * max(total, 1e-300):
-            return total, err + 2.0 * v
-        if len(octaves) >= _MOMENT_MIN_OCTAVES and octaves[-2] > 0.0 \
-                and octaves[-3] > 0.0:
-            r_now = octaves[-1] / octaves[-2]
-            r_prev = octaves[-2] / octaves[-3]
-            if r_now < 1.0 and abs(r_now - r_prev) <= _MOMENT_DRIFT_TOL:
-                break
-    last = octaves[-1]
-    if len(octaves) < 3 or octaves[-2] <= 0.0 or octaves[-3] <= 0.0:
-        # no contracting pattern to extrapolate; charge the unknown
-        # tail to the error instead
-        return total, err + 2.0 * last
-    r_now = octaves[-1] / octaves[-2]
-    drift = abs(r_now - octaves[-2] / octaves[-3])
-    # the drift itself contracts geometrically for power-law densities;
-    # a factor-4 cushion covers contraction rates down to about 0.8
-    r_hi = r_now + 4.0 * drift
-    r_lo = max(r_now - 4.0 * drift, 0.0)
-    if r_now >= 1.0 or r_hi >= 1.0:
-        # octave masses of c*g^(p-1) scale as 2^-p per halving; a ratio
-        # bracket touching one means p <= 0 within resolution, i.e. the
-        # moment diverges (the log case p = 0 lands here too)
-        raise DivergentIntegral("inverse-SNR moment diverges")
-    t_lo = last * r_lo / (1.0 - r_lo)
-    t_hi = last * r_hi / (1.0 - r_hi)
-    tail = 0.5 * (t_lo + t_hi)
-    return total + tail, err + 0.5 * (t_hi - t_lo) + _REL_TOL * tail
 
 
 def cifr(ch: EndToEndChannel,
@@ -586,8 +582,8 @@ def _tcifr(ch: EndToEndChannel, pl: float, cutoff: float, above: "_Above",
 @dataclass(frozen=True)
 class CutoffSolve:
     """A cutoff root, the Newton steps it took (one fresh panel each, or
-    below the table one adaptive quadrature), and the residual |G| of
-    the cutoff condition there."""
+    below the table one read of the power-law tail), and the residual
+    |G| of the cutoff condition there."""
 
     root: float
     iterations: int
@@ -621,7 +617,8 @@ def _cutoff_solve(ch: EndToEndChannel) -> _Cutoff:
     bracket bisects it.  At a mean so high that H at the lowest edge is
     below m, H(y) <= 1/y puts the root at or below y = 1/m, and Newton
     runs on the bracket from there down to a unit below the floor, each
-    step one adaptive quadrature below the table (see ``_Table.above``).
+    step one read of the table's power-law tail, with S(y) taken as 1
+    and the law not evaluated (see ``_Table.above``).
     The residual is |H/m - 1| = |G| of the cutoff condition in g.  A
     root below 1e-12 raises ``RootNotBracketed``.
     """

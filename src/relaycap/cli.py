@@ -81,10 +81,10 @@ MAX_GRID_POINTS = 100_000
 # capacity-sweep with all five policies exits 0 with an empty stderr on
 # one hop of each of the nine families and on the four shipped configs,
 # in 0.1-0.7 s a point after the imports (2-core VM).  At -300 dB the
-# opra cutoff falls below the solver's 1e-12 floor.  Past about 150 dB
-# the cutoff falls below the unit-law table and is solved below it, on
-# arguments under e^-35 where the gamma_gamma density no longer holds
-# (0 at e^-40, 692 at e^-60): fig1_serial2's tcifr is then wrong.
+# opra cutoff falls below the solver's 1e-12 floor.  Past about 100 dB
+# the cutoff may fall below the unit-law table and is then solved on its
+# power-law tail, where no law is evaluated (the gamma_gamma density
+# fails under e^-35): fig1_serial2's tcifr meets its cifr at 1000 dB.
 SNR_DB_LIMIT = 100.0
 
 

@@ -20,7 +20,7 @@ from relaycap.capacity import (
     sweep,
 )
 from relaycap.errors import RelayCapError, RootNotBracketed
-from relaycap.fading import Exponential, Gamma
+from relaycap.fading import Exponential, Gamma, GammaGamma
 from relaycap.topology import (
     AllActive,
     EndToEndChannel,
@@ -138,7 +138,8 @@ class TestCifr:
         assert r.diagnostic == "divergent inverse-SNR moment"
 
     def test_barely_convergent_moment_stays_bracketed(self):
-        # shape 1.001: E[1/g] = 1001, one octave ratio step from divergence
+        # shape 1.001: E[1/g] = 1001; the tail's span ratio e^-0.001 is
+        # a hair from divergence
         ch = end_to_end(Serial(hops=(Gamma(shape=1.001),)))
         r = capacity.cifr(ch)
         assert r.diagnostic is None
@@ -157,6 +158,57 @@ class TestCifr:
         assert r.capacity == pytest.approx(CIFR_GAMMA2, abs=2e-3)
 
 
+def _gamma_gamma_inverse_moment(alpha, beta, xi, order):
+    """E[1/X] = E[I^r] E[I^-r] of one GammaGamma hop at unit mean, with
+    E[I^s] = Gamma(a+s) Gamma(b+s)/(Gamma(a) Gamma(b) (ab)^s) xi^2/(xi^2+s)."""
+    def moment(s):
+        return math.exp(math.lgamma(alpha + s) + math.lgamma(beta + s)
+                        - math.lgamma(alpha) - math.lgamma(beta)
+                        - s * math.log(alpha * beta)) * xi ** 2 / (xi ** 2 + s)
+    return moment(order) * moment(-order)
+
+
+class TestCifrOracles:
+    """cifr on one GammaGamma hop against the closed-form inverse
+    moment; near 0 the law is c x^(P-1) with P = min(a, b, xi^2)/r, and
+    E[1/X] diverges when P <= 1."""
+
+    @pytest.mark.parametrize("alpha, beta, xi, order", [
+        (2.902, 2.51, 1.1, 1),
+        (2.9, 2.5, 1.6, 2),
+        (2.9, 2.5, 1.02, 1),
+        (1.5, 1.5, 3.0, 1),  # coincident poles: a log factor at 0
+    ])
+    def test_closed_form(self, alpha, beta, xi, order):
+        ch = end_to_end(Serial(hops=(GammaGamma(alpha, beta, xi, order),)))
+        r = capacity.cifr(ch)
+        truth = 0.5 / math.log(2.0) * math.log1p(
+            1.0 / _gamma_gamma_inverse_moment(alpha, beta, xi, order))
+        assert r.diagnostic is None
+        assert abs(r.capacity - truth) <= r.quad_error
+
+    @pytest.mark.parametrize("alpha, beta, xi, order", [
+        (2.9, 0.8, 1.6, 1),
+        (2.9, 2.5, 0.9, 1),
+        (0.9, 0.9, 1.6, 1),  # the table's bottom cells are halved
+        (2.9, 2.5, 1.1, 2),
+    ])
+    def test_divergent(self, alpha, beta, xi, order):
+        ch = end_to_end(Serial(hops=(GammaGamma(alpha, beta, xi, order),)))
+        r = capacity.cifr(ch)
+        assert r.capacity == 0.0
+        assert r.diagnostic == "divergent inverse-SNR moment"
+
+    def test_fig1_serial2_unit_moment(self):
+        from relaycap import cli
+
+        topo = cli.topology_from_config(
+            cli.load_config("fig1_serial2")["topology"])
+        m, err = capacity._inverse_moment(cli._channel_factory(topo)(1.0))
+        # mpmath, 20 digits
+        assert abs(m - 20.5500196) <= err
+
+
 def _gamma2_topology(kind):
     hop = Gamma(shape=2.0)
     if kind == "serial":
@@ -168,7 +220,7 @@ def _gamma2_topology(kind):
 
 class TestScaledInverseMoment:
     """E[1/(cX)] = E[1/X]/c: a law scaled from unit mean inverts like the
-    law built at that mean, from one octave sum of the unit law."""
+    law built at that mean, from one table of the unit law."""
 
     @pytest.fixture(scope="class", params=["serial", "selective",
                                            "all_active"])
@@ -665,6 +717,18 @@ class TestExtremeSnr:
         # each Newton panel evaluates S and f at 15 nodes and at y
         panels = far["opra"].result.iterations - near["opra"].result.iterations
         assert far_args - near_args == 32 * panels
+
+    @pytest.mark.parametrize("snr_db", [300.0, 1000.0])
+    def test_tcifr_meets_cifr_below_the_table(self, snr_db):
+        # the cutoff, near 1/m, lies far below the table, where the
+        # GammaGamma density no longer holds; the tail stands in for it
+        unit, _ = self.counted_unit()
+        rows = {r.policy: r.result
+                for r in sweep(unit.scaled, ["cifr", "tcifr"], [snr_db])}
+        cifr, tcifr = rows["cifr"], rows["tcifr"]
+        assert abs(tcifr.capacity - cifr.capacity) <= \
+            tcifr.quad_error + cifr.quad_error
+        assert tcifr.quad_error < 1e-5 and cifr.quad_error < 1e-5
 
     def test_minus_300_db_raises_before_any_newton_panel(self):
         rows, args = self.sweep_point(-300.0)

@@ -567,7 +567,7 @@ def unit_mean_config(kind, policies=("cifr",), points=7):
 
 class TestUnitMeanChannels:
     """Every topology's law is built once per command, at unit mean, and
-    its inverse-SNR moment is summed once for the whole sweep."""
+    tabulated once for the whole sweep, inverse-SNR moment included."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -582,16 +582,16 @@ class TestUnitMeanChannels:
         return built
 
     @pytest.fixture
-    def octave_sums(self, monkeypatch):
-        summed = []
-        moment = capacity._octave_moment
+    def tables(self, monkeypatch):
+        tabulated = []
+        table = capacity._Table
 
         def counted(ch):
-            summed.append(ch)
-            return moment(ch)
+            tabulated.append(ch)
+            return table(ch)
 
-        monkeypatch.setattr(capacity, "_octave_moment", counted)
-        return summed
+        monkeypatch.setattr(capacity, "_Table", counted)
+        return tabulated
 
     @pytest.mark.parametrize("command", [
         "capacity-sweep", "opra-cutoff", "outage-sweep"])
@@ -604,17 +604,17 @@ class TestUnitMeanChannels:
         assert {h.mean for h in builds[0].flat_hops()} == {1.0}
 
     @pytest.mark.parametrize("kind", sorted(UNIT_MEAN_TOPOLOGIES))
-    def test_seven_point_sweep_sums_octaves_once(self, kind, octave_sums,
-                                                 tmp_path, capsys):
+    def test_seven_point_sweep_tabulates_once(self, kind, tables, tmp_path,
+                                              capsys):
         cfg = unit_mean_config(kind)
         assert run(["capacity-sweep", "--config",
                     write_config(tmp_path, cfg)]) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert len(rows) == 7
-        assert len(octave_sums) == 1
-        assert octave_sums[0].unit is None
+        assert len(tables) == 1
+        assert tables[0].unit is None
 
-    def test_divergent_moment_flagged_at_every_point(self, octave_sums):
+    def test_divergent_moment_flagged_at_every_point(self, tables):
         topo = cli.topology_from_config(
             {"kind": "serial", "hops": [{"family": "exponential"}]})
         rows = capacity.sweep(cli._channel_factory(topo), ["cifr"],
@@ -623,7 +623,7 @@ class TestUnitMeanChannels:
         for row in rows:
             assert row.result.capacity == 0.0
             assert row.result.diagnostic == "divergent inverse-SNR moment"
-        assert len(octave_sums) == 1
+        assert len(tables) == 1
 
     @pytest.mark.parametrize("kind", ["serial", "selective"])
     def test_failed_build_fails_every_snr_point(self, kind, monkeypatch,
