@@ -203,7 +203,7 @@ class _Table:
         # whole number of cells, and the lowest one's error
         span = np.floor(0.5 * (lo + hi) - lo[0]).astype(int)
         self.spans = np.bincount(span, self.inv[0])[:3]
-        self.span_err = float(self.inv[1][span == 0].sum())
+        self.span_err = float(np.bincount(span, self.inv[1])[0])
 
     def integral(self, vals: np.ndarray, start: int = 0) -> tuple[float, float]:
         """Sum over the cells from ``start`` up of the panel integrals of
