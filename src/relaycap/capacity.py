@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import DivergentIntegral, RelayCapError, RootNotBracketed
 # integrate stays bound here for bench/selftest.py's tracer checks
@@ -395,6 +394,12 @@ def _sf_integral(sf: np.ndarray, kernel: np.ndarray,
     return val, err + _EPS * noise
 
 
+def _expit(w):
+    """The logistic 1/(1 + e^-w); e^-w overflowing to inf gives 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-w))
+
+
 def ora(ch: EndToEndChannel,
         prelog: PrelogFactor | float = PrelogFactor()) -> PolicyResult:
     """Constant transmit power, rate tracking the channel.
@@ -411,9 +416,9 @@ def ora(ch: EndToEndChannel,
     pl = _prelog(prelog)
     tab, m = _unit_table(ch)
     w = tab.nodes + math.log(m)  # m x = e^w
-    val, err = _sf_integral(tab.sf, special.expit(w), tab.half)
+    val, err = _sf_integral(tab.sf, _expit(w), tab.half)
     closure = float(np.logaddexp(0.0, tab.edges[0] + math.log(m)))
-    top = tab.top_sf * float(special.expit(tab.edges[-1] + math.log(m)))
+    top = tab.top_sf * float(_expit(tab.edges[-1] + math.log(m)))
     val, err = _checked(val + closure,
                         err + tab.low_cdf * closure + top)
     cap = max(pl / LN2 * val, 0.0)

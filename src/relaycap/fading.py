@@ -8,7 +8,10 @@ Weibull, GeneralizedGamma and GammaGamma; the other families raise
 ``UnsupportedHForm``.  GammaGamma, Malaga and GenericH evaluate pdf/cdf
 through one H kernel in :mod:`.foxh`; the samplers are built from the
 constitutive random-variable recipes instead, so Monte Carlo stays an
-independent route end to end.
+independent route end to end.  Gamma, GeneralizedGamma, WeibullGamma
+and DoubleGeneralizedGamma import ``scipy.special`` inside the methods
+that need incomplete gamma functions; the other families run on numpy
+and ``math`` alone, so importing the catalog loads no scipy.
 
 Each family declares once which fields must be positive
 (``_POSITIVE``) and which field is its mean (``_MEAN``); the mean only
@@ -24,7 +27,6 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import special as sp
 
 from . import foxh
 from .errors import (
@@ -44,6 +46,10 @@ def _apply(g, fn):
     if arr.ndim == 0:
         return float(out[0])
     return np.asarray(out).reshape(arr.shape)
+
+
+# math.lgamma over an array; the H-kernel laws keep scipy.special unloaded
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def _positive_part(gamma, fn):
@@ -182,6 +188,7 @@ class Gamma(FadingModel):
     _POSITIVE = ("shape", "mean_snr")
 
     def pdf(self, gamma):
+        from scipy import special as sp
         m, rate = self.shape, self.shape / self.mean_snr
         return _positive_part(gamma, lambda g: np.exp(
             m * np.log(rate) + (m - 1.0) * np.log(g) - rate * g
@@ -189,6 +196,7 @@ class Gamma(FadingModel):
         ))
 
     def cdf(self, gamma):
+        from scipy import special as sp
         m, rate = self.shape, self.shape / self.mean_snr
         return _positive_part(gamma, lambda g: sp.gammainc(m, rate * g))
 
@@ -247,6 +255,7 @@ class Weibull(FadingModel):
 def _gen_gamma_pdf(x: np.ndarray, shape: float, power: float,
                    scale: float) -> np.ndarray:
     """Density of scale * G**(1/power), G ~ Gamma(shape, 1), at x > 0."""
+    from scipy import special as sp
     z = x / scale
     return np.exp((shape * power - 1.0) * np.log(z) - z ** power
                   - sp.gammaln(shape)) * power / scale
@@ -268,6 +277,7 @@ class GeneralizedGamma(FadingModel):
 
     @property
     def _scale(self) -> float:
+        from scipy import special as sp
         ratio = math.exp(sp.gammaln(self.shape + 1.0 / self.power)
                          - sp.gammaln(self.shape))
         return self.mean_snr / ratio
@@ -277,6 +287,7 @@ class GeneralizedGamma(FadingModel):
         return _positive_part(gamma, lambda g: _gen_gamma_pdf(g, m, xi, a))
 
     def cdf(self, gamma):
+        from scipy import special as sp
         m, xi, a = self.shape, self.power, self._scale
         return _positive_part(gamma, lambda g: sp.gammainc(m, (g / a) ** xi))
 
@@ -301,6 +312,7 @@ def _gen_gamma_grid(shape: float, power: float, scale: float):
     the mass cut off outside the quantiles would otherwise leave a
     survival floor of about 1e-12, which ora's (1 + g) weight turns
     into a term growing like log g at low SNR."""
+    from scipy import special as sp
     lo = scale * sp.gammaincinv(shape, 1e-12) ** (1.0 / power)
     hi = scale * sp.gammainccinv(shape, 1e-13) ** (1.0 / power)
     gx, gw = np.polynomial.legendre.leggauss(10)
@@ -456,8 +468,8 @@ class GammaGamma(_HKernel):
         """E[I**r] of the constitutive irradiance."""
         a, b, x2 = self.alpha, self.beta, self.xi ** 2
         m_ia = math.exp(
-            sp.gammaln(a + r) + sp.gammaln(b + r)
-            - sp.gammaln(a) - sp.gammaln(b)
+            math.lgamma(a + r) + math.lgamma(b + r)
+            - math.lgamma(a) - math.lgamma(b)
         ) / (a * b) ** r
         return m_ia * x2 / (x2 + r)
 
@@ -466,7 +478,7 @@ class GammaGamma(_HKernel):
         a, b, x2 = self.alpha, self.beta, self.xi ** 2
         r = float(self.detection_order)
         delta = (self.pointing_h * a * b) ** r / self.mu_r
-        kappa = x2 / math.exp(sp.gammaln(a) + sp.gammaln(b))
+        kappa = x2 / math.exp(math.lgamma(a) + math.lgamma(b))
         return HRepresentation(
             kappa=kappa * delta, delta=delta,
             params=HParams(
@@ -513,6 +525,7 @@ class DoubleGeneralizedGamma(FadingModel):
                  "mean_snr")
 
     def _factor_moment(self, which: int, r: float) -> float:
+        from scipy import special as sp
         a = self.alpha1 if which == 1 else self.alpha2
         m = self.m1 if which == 1 else self.m2
         om = self.omega1 if which == 1 else self.omega2
@@ -550,6 +563,7 @@ class DoubleGeneralizedGamma(FadingModel):
         return _positive_part(gamma, f)
 
     def cdf(self, gamma):
+        from scipy import special as sp
         u, w = self._factor2_grid
         a, m, scale = self.alpha1, self.m1, self._factor1_scale
 
@@ -643,7 +657,7 @@ class Malaga(_HKernel):
                 lw = np.where(k == 0, 0.0, -np.inf)
             else:
                 lw = (
-                    sp.gammaln(nb) - sp.gammaln(k + 1.0) - sp.gammaln(nb - k + 0.0)
+                    math.lgamma(nb) - _lgamma(k + 1.0) - _lgamma(nb - k + 0.0)
                     + k * math.log(x)
                     + (nb - 1 - k) * math.log1p(-x)
                 )
@@ -654,7 +668,7 @@ class Malaga(_HKernel):
                 lw = np.where(k == 0, 0.0, -np.inf)
             else:
                 lw = (
-                    sp.gammaln(b + k) - sp.gammaln(b) - sp.gammaln(k + 1.0)
+                    _lgamma(b + k) - math.lgamma(b) - _lgamma(k + 1.0)
                     + k * math.log(x) + b * math.log1p(-x)
                 )
             erl_scale = g
@@ -663,10 +677,26 @@ class Malaga(_HKernel):
     @property
     def series_tail(self) -> float:
         """Probability mass beyond the truncated mixture (exact)."""
-        if self._beta_integer:
+        b, x, k = self.beta, self._mix_x, self.series_terms
+        if self._beta_integer or x == 0.0:
             return 0.0
-        # P(K >= N) for K ~ NegBinomial(beta, 1 - x) is I_x(N, beta)
-        return float(sp.betainc(self.series_terms, self.beta, self._mix_x))
+        # P(K >= N) for K ~ NegBinomial(beta, 1 - x): the pmf at N, then
+        # each next term (b + k)/(k + 1) * x times the last.  The ratios
+        # tend monotonically to x, so once the larger of the last ratio
+        # and x is below 1, the rest is at most term / (1 - that).
+        term = math.exp(math.lgamma(b + k) - math.lgamma(b)
+                        - math.lgamma(k + 1.0)
+                        + k * math.log(x) + b * math.log1p(-x))
+        total = 0.0
+        while term > 0.0:
+            total += term
+            ratio = (b + k) / (k + 1.0) * x
+            term *= ratio
+            k += 1
+            worst = max(ratio, x)
+            if worst < 1.0 and term <= 1e-17 * (1.0 - worst) * total:
+                break
+        return total
 
     @cached_property
     def _kernel(self):
@@ -676,7 +706,7 @@ class Malaga(_HKernel):
         delta = a / erl_scale
         # pdf = sum_k w_k / (Gamma(a) k!) * gamma^-1 H(delta g | (a,1),(k+1,1));
         # folding the 1/gamma in multiplies each coefficient by delta.
-        lk = lw - sp.gammaln(a) - sp.gammaln(np.arange(len(lw)) + 1.0) \
+        lk = lw - math.lgamma(a) - _lgamma(np.arange(len(lw)) + 1.0) \
             + math.log(delta)
         return delta, lk
 

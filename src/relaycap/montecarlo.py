@@ -16,7 +16,6 @@ common random numbers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -240,6 +239,7 @@ def simulate(
         return partials
 
     if jobs is not None and jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             batches = list(pool.map(run_batch, range(len(sizes))))
     else:

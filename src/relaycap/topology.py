@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import GridResolutionInsufficient
 from .fading import FadingModel, _apply
@@ -350,12 +349,27 @@ def _closed_form(cdf, pdf, start: float, description: str) -> EndToEndChannel:
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real arrays through a real FFT.
 
-    The same steps as ``scipy.signal.fftconvolve``, without importing
-    ``scipy.signal``, which would dominate the package's import time.
+    The steps of ``scipy.signal.fftconvolve``, padded to the same length
+    (the next 5-smooth one), on ``numpy.fft``, which runs the same
+    pocketfft transforms: the result is bitwise that of fftconvolve
+    (``tests/test_topology.py::TestConvolution``), and scipy stays off
+    the import path.
     """
     n = a.size + b.size - 1
-    nf = next_fast_len(n, True)
-    return irfft(rfft(a, nf) * rfft(b, nf), nf)[:n]
+    nf = _next_5_smooth(n)
+    return np.fft.irfft(np.fft.rfft(a, nf) * np.fft.rfft(b, nf), nf)[:n]
+
+
+def _next_5_smooth(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= n, the length pocketfft transforms fastest."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _all_active_channel(topology: AllActive) -> EndToEndChannel:

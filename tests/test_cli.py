@@ -669,18 +669,14 @@ class TestHelp:
 
 
 class TestStartup:
-    def test_outage_path_imports_no_signal_or_stats(self):
-        # scipy.signal and scipy.stats dominate import time; the CLI and
-        # an all-active grid build must not pull them in
-        code = (
-            "import sys\n"
-            "from relaycap import cli\n"
-            "topo = cli.topology_from_config("
-            "cli.load_config('fig2_malaga')['topology'])\n"
-            "cli._channel_factory(topo)(1.0).cdf(1.0)\n"
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats')"
-            " if m in sys.modules))\n"
-        )
+    """The CLI loads numpy and the package alone: scipy (scipy.special
+    and scipy.fft pull in numpy.f2py, numpy.ma and numpy.testing) about
+    triples the import time.  Only the families that need incomplete
+    gamma functions import scipy.special, when they evaluate."""
+
+    @staticmethod
+    def fresh(code: str) -> str:
+        """Stdout of ``code`` run in a fresh interpreter on this source."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -688,7 +684,35 @@ class TestStartup:
         got = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert got.returncode == 0, got.stderr
-        assert got.stdout.strip() == "[]"
+        return got.stdout.strip()
+
+    def test_outage_path_imports_no_signal_or_stats(self):
+        # the CLI import and an all-active grid build load no scipy module
+        # at all, scipy.signal and scipy.stats included
+        code = (
+            "import sys\n"
+            "from relaycap import cli\n"
+            "topo = cli.topology_from_config("
+            "cli.load_config('fig2_malaga')['topology'])\n"
+            "cli._channel_factory(topo)(1.0).cdf(1.0)\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy'"
+            " or m.startswith('scipy.')))\n"
+        )
+        assert self.fresh(code) == "[]"
+
+    @pytest.mark.parametrize("command,config", [
+        ("capacity-sweep", "fig1_selective3"),
+        ("outage-sweep", "fig2_malaga"),
+    ])
+    def test_shipped_command_leaves_scipy_unloaded(self, command, config):
+        code = (
+            "import contextlib, io, sys\n"
+            "from relaycap import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main([{command!r}, '--config', {config!r}])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        assert self.fresh(code) == "0 False"
 
 
 class TestProgrammaticHelpers:

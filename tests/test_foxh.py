@@ -385,6 +385,39 @@ def dense_oscillatory_sums(w, t, ln_x):
     return np.concatenate(vals), np.concatenate(resid)
 
 
+def extended_level_value(t, w, ln_x, half, re_max, c, power):
+    """The value of one trapezoid level from its float64 t, w and ln x,
+    step 2 half/(n - 1) and scale exp(re_max - c ln x (+ (power + 1) ln x)),
+    summed in extended precision: long double, or mpmath at 30 digits
+    where long double is no wider than float64.  A float64 sum would
+    carry rounding of the size of the evaluator's own error bound."""
+    n = len(t)
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        ld = np.longdouble
+        lx = ln_x.astype(ld)
+        arg = np.outer(t.astype(ld), lx)
+        # Re sum_k w_k exp(-i t_k ln x)
+        sums = w.real.astype(ld) @ np.cos(arg) + w.imag.astype(ld) @ np.sin(arg)
+        expo = ld(re_max) - ld(c) * lx
+        if power is not None:
+            expo += (ld(power) + 1) * lx
+        step = 2 * ld(half) / (n - 1)
+        return sums * step / (8 * np.arctan(ld(1))) * np.exp(expo)
+    with mpmath.workdps(30):
+        out = []
+        for lx in map(mpmath.mpf, ln_x):
+            total = mpmath.fsum(
+                mpmath.mpf(wk.real) * mpmath.cos(mpmath.mpf(tk) * lx)
+                + mpmath.mpf(wk.imag) * mpmath.sin(mpmath.mpf(tk) * lx)
+                for tk, wk in zip(t, w))
+            expo = mpmath.mpf(re_max) - mpmath.mpf(c) * lx
+            if power is not None:
+                expo += (mpmath.mpf(power) + 1) * lx
+            out.append(float(total * 2 * mpmath.mpf(half) / (n - 1)
+                             / (2 * mpmath.pi) * mpmath.exp(expo)))
+        return np.array(out)
+
+
 class TestOscillatorySums:
     """The blocked phase sum against the dense one it replaces."""
 
@@ -518,12 +551,8 @@ class TestNestedRefinement:
         value, err = foxh.mellin_barnes(memo, contour, x, weight_power=power)
         half, n = max(key[2:] for key in memo._levels)
         t, re_max, w, _ = memo.level(contour, power, half, n)
-        ln_x = np.log(x)
-        dense, _ = dense_oscillatory_sums(w, t, ln_x)
-        expo = re_max - contour.c * ln_x
-        if power is not None:
-            expo = expo + (power + 1.0) * ln_x
-        want = dense * (2.0 * half / (n - 1) / (2.0 * math.pi)) * np.exp(expo)
+        want = extended_level_value(t, w, np.log(x), half, re_max,
+                                    contour.c, power)
         assert n > 1025
         assert np.all(np.abs(value - want) <= err)
 
