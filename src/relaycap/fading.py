@@ -680,10 +680,16 @@ class Malaga(_HKernel):
         b, x, k = self.beta, self._mix_x, self.series_terms
         if self._beta_integer or x == 0.0:
             return 0.0
-        # P(K >= N) for K ~ NegBinomial(beta, 1 - x): the pmf at N, then
-        # each next term (b + k)/(k + 1) * x times the last.  The ratios
-        # tend monotonically to x, so once the larger of the last ratio
-        # and x is below 1, the rest is at most term / (1 - that).
+        # P(K >= N) for K ~ NegBinomial(beta, 1 - x).  A tail above 1/2
+        # is 1 minus the N kept weights, to rounding; a term-by-term sum
+        # would take about 40/(1 - x) terms as x nears 1.  A smaller tail
+        # is the pmf at N, then each next term (b + k)/(k + 1) * x times
+        # the last.  The ratios tend monotonically to x, so once the
+        # larger of the last ratio and x is below 1, the rest is at most
+        # term / (1 - that).
+        head = float(np.exp(self._series[1]).sum())
+        if head < 0.5:
+            return 1.0 - head
         term = math.exp(math.lgamma(b + k) - math.lgamma(b)
                         - math.lgamma(k + 1.0)
                         + k * math.log(x) + b * math.log1p(-x))

@@ -190,6 +190,13 @@ class TestMalaga:
         with pytest.raises(NormalizationError):
             Malaga(series_terms=40, **MALAGA_KW)
 
+    def test_near_one_mix_rejected_at_once(self):
+        # rho = 1 - 1e-8 puts the mixing probability x within 2.6e-9 of
+        # 1: the tail is all but the kept weights, which a term-by-term
+        # sum from series_terms up would reach after about 1.6e10 terms
+        with pytest.raises(NormalizationError, match=r"leaves 1\.00e\+00"):
+            Malaga(**dict(MALAGA_KW, rho=1.0 - 1e-8))
+
     @pytest.mark.parametrize("beta,rho", [(1.822, 0.596), (4.5, 0.596),
                                           (0.7, 0.2)])
     @pytest.mark.parametrize("terms", [200, 240, 320])
