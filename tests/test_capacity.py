@@ -748,8 +748,9 @@ class TestExtremeSnr:
         rows = {r.policy: r.result
                 for r in sweep(unit.scaled, ["cifr", "tcifr"], [snr_db])}
         cifr, tcifr = rows["cifr"], rows["tcifr"]
-        hops = cli.topology_from_config(cli.load_config("fig1_serial2")[
-            "topology"]).with_mean_snr(1.0).flat_hops()
+        topo = cli.topology_from_config(
+            cli.load_config("fig1_serial2")["topology"])
+        hops = topo.with_mean_snr(1.0).flat_hops()
         y = tcifr.cutoff / 10.0 ** (snr_db / 10.0)
         gap = PolicySpec("cifr").prelog / math.log(2.0) \
             * self.moment_below(hops, y) / capacity._inverse_moment(unit)[0]

@@ -672,7 +672,7 @@ class TestStartup:
     """The CLI loads numpy and the package alone: scipy (scipy.special
     and scipy.fft pull in numpy.f2py, numpy.ma and numpy.testing) about
     triples the import time.  Only the families that need incomplete
-    gamma functions import scipy.special, when they evaluate."""
+    gamma functions import scipy.special, when a model is built."""
 
     @staticmethod
     def fresh(code: str) -> str:
