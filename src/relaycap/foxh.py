@@ -12,10 +12,11 @@ argument only enters through the phase exp(-i t ln x).  Refinement is
 nested: level 2n - 1 keeps level n's nodes as its even nodes, so it
 evaluates the Gamma product and the phase sum only at its n - 1 new odd
 nodes and adds level n's sum, rescaled to the new peak.  Uniform nodes
-let the phase factor into block-start and in-block tables, so N new
-nodes take N/(2B) + B complex exponentials per argument (49 at the
-first level's N = 1025, 48 at the next level's 1024 new nodes, B = 32)
-instead of N/2, plus one small matrix product.
+let the phase factor into block-start and in-block tables, each a run
+of powers of one unit complex number, so N new nodes take three complex
+exponentials and about N/(2B) + B complex multiplies per argument (49 at
+the first level's N = 1025, 48 at the next level's 1024 new nodes,
+B = 32) instead of N/2 exponentials, plus one small matrix product.
 
 Everything else a call does is argument-free and lives in one memo per
 integrand (``_ThetaCache``): the stage-1 truncation of each (contour,
@@ -263,6 +264,21 @@ def log_theta(params: HParams) -> Callable[[np.ndarray], np.ndarray]:
 _PHASE_BLOCK = 32  # nodes per block of the factored phase sum
 
 
+def _powers(base: np.ndarray, count: int, first) -> np.ndarray:
+    """Rows first * base**j, j < count, by doubling: rows [k, 2k) are
+    rows [0, k) times base**k, and base**k is squared for the next pass.
+    For a unit ``base`` = exp(-i phi) the phase error of row j grows like
+    j times that of ``base``, as exp(-i j phi) rounds j phi itself."""
+    out = np.empty((count,) + base.shape, dtype=complex)
+    out[0] = first
+    k = 1
+    while k < count:
+        np.multiply(out[: min(k, count - k)], base, out=out[k: 2 * k])
+        base = base * base
+        k *= 2
+    return out
+
+
 def _oscillatory_sums(w: np.ndarray, t: np.ndarray, ln_x: np.ndarray):
     """Paired-real and raw-imag trapezoid sums of w(t) * exp(-i t ln x).
 
@@ -273,12 +289,15 @@ def _oscillatory_sums(w: np.ndarray, t: np.ndarray, ln_x: np.ndarray):
     odd-length set holds the centre node t = 0, an even-length one (a
     refinement level's new odd nodes) has none.
 
-    On a half-line of uniform nodes the phase of node aB + b factors
-    into exp(-i t_aB ln x) exp(-i (t_b - t_0) ln x).  One matrix product
-    sums each block of B = ``_PHASE_BLOCK`` weights against the B x nx
-    in-block table; the A block sums are then weighted by the A x nx
-    block-start table and added.  The t < 0 half enters as conj(w) and
-    shares both tables; the sum changes only in order and rounding.
+    On a half-line of uniform nodes t_0 + j h the phase of node aB + b
+    factors into exp(-i (t_0 + aBh) ln x) exp(-i bh ln x).  One matrix
+    product sums each block of B = ``_PHASE_BLOCK`` weights against the
+    B x nx in-block table y**b, y = exp(-i h ln x); the A block sums are
+    then weighted by the A x nx block-start table exp(-i t_0 ln x) z**a,
+    z = exp(-i Bh ln x), and added.  ``_powers`` builds both tables from
+    y, z and exp(-i t_0 ln x), three exponentials per argument.  The
+    t < 0 half enters as conj(w) and shares both tables; the sum changes
+    only in order and rounding.
     """
     half = len(t) // 2  # first node of the t >= 0 half
     t_pos = t[half:]
@@ -290,14 +309,16 @@ def _oscillatory_sums(w: np.ndarray, t: np.ndarray, ln_x: np.ndarray):
     if len(t) % 2:
         weights[:, 0] *= 0.5  # t = 0 shared between the two half-lines
     weights = weights.reshape(2 * rows, block)
+    h = (t_pos[-1] - t_pos[0]) / max(len(t_pos) - 1, 1)
 
     total = np.empty(ln_x.shape, dtype=complex)
     chunk = max(1, int(2_000_000 / (3 * rows + block)))  # cells per argument
     for i in range(0, len(ln_x), chunk):
         lx = ln_x[i: i + chunk]
-        sums = weights @ np.exp(-1j * np.outer(t_pos[:block] - t_pos[0], lx))
-        sums = sums.reshape(2, rows, len(lx)) * np.exp(
-            -1j * np.outer(t_pos[::block], lx))
+        sums = weights @ _powers(np.exp(-1j * h * lx), block, 1.0)
+        sums = sums.reshape(2, rows, len(lx))
+        sums *= _powers(np.exp(-1j * (block * h) * lx), rows,
+                        np.exp(-1j * t_pos[0] * lx))
         fwd, bwd = sums.sum(axis=1)
         total[i: i + chunk] = fwd + np.conj(bwd)
     return total.real, total.imag
@@ -602,28 +623,40 @@ def fused_series_theta(
     Represents a series of H^{m,0}_{0,m} kernels that differ only by an
     integer-stepped lower row (k, 1), k = 0, 1, ..., all sharing one
     argument scale.  ``base_rows`` are the common (b, B) rows and
-    ``log_weights[k]`` is ln(w_k); weights must be positive.  The
-    Gamma(k + s) ladder is built by the recurrence Gamma(k + 1 + s) =
-    (k + s) Gamma(k + s), then the terms are combined by a stable
-    log-sum-exp, which makes a 300-term series cost barely more than a
-    single kernel.
+    ``log_weights[k]`` is ln(w_k); weights must be positive.  By
+    Gamma(k + s) = Gamma(s) (s)(s + 1)...(s + k - 1), term k is Gamma(s)
+    times w_k prod_{j<k} |s + j| in magnitude and prod_{j<k} (s + j)/|s + j|
+    in phase.  The magnitudes are summed as real logs, the phases as a
+    running product of unit factors, and the terms are added by an online
+    log-sum-exp: a running peak and an accumulator rescaled whenever the
+    peak rises.  So each term costs one real log and two real
+    exponentials per node, and memory stays at a few node-length arrays
+    whatever the number of terms; log Gamma(s) is added once at the end.
+    Even so a series costs far more than a single kernel: at 320 terms
+    (fig2_malaga) it takes most of the contour evaluator's time.
     """
     lw = np.asarray(log_weights, dtype=float)
     rows = tuple(base_rows)
 
     def fn(s: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(s)
+        acc = log_gamma_complex(s)
         for b, bb in rows:
             acc = acc + log_gamma_complex(b + bb * s)
-        ladder = log_gamma_complex(s)
-        terms = np.empty((len(lw),) + s.shape, dtype=complex)
+        log_mag = np.zeros(s.shape)  # sum_{j<k} ln|s + j|
+        phase = np.ones_like(s)  # prod_{j<k} (s + j)/|s + j|
+        peak = np.full(s.shape, -np.inf)  # running max of lw[k] + log_mag
+        total = np.zeros_like(s)  # the terms so far, scaled by exp(-peak)
         for k in range(len(lw)):
-            terms[k] = lw[k] + ladder
-            ladder = ladder + np.log(k + s)
-        m = terms.real.max(axis=0)
-        np.subtract(terms, m, out=terms)
-        np.exp(terms, out=terms)
-        mix = np.log(np.sum(terms, axis=0)) + m
-        return acc + mix
+            mag = lw[k] + log_mag
+            new_peak = np.maximum(peak, mag)
+            total *= np.exp(peak - new_peak)
+            total += np.exp(mag - new_peak) * phase
+            peak = new_peak
+            factor = s + k
+            r = np.abs(factor)
+            log_mag += np.log(r)
+            factor /= r
+            phase *= factor
+        return acc + peak + np.log(total)
 
     return fn

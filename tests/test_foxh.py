@@ -2,13 +2,14 @@
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaycap import foxh
@@ -385,31 +386,51 @@ def dense_oscillatory_sums(w, t, ln_x):
     return np.concatenate(vals), np.concatenate(resid)
 
 
+LONG_DOUBLE_WIDER = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+def extended_phase_sums(t, w, ln_x):
+    """Re and Im of sum_k w_k exp(-i t_k ln x) from float64 t, w and ln x,
+    summed in extended precision: long double arrays, or lists of mpmath
+    numbers at 30 digits where long double is no wider than float64 (use
+    them inside ``mpmath.workdps(30)``)."""
+    if LONG_DOUBLE_WIDER:
+        ld = np.longdouble
+        arg = np.outer(t.astype(ld), ln_x.astype(ld))
+        cos, sin = np.cos(arg), np.sin(arg)
+        wr, wi = w.real.astype(ld), w.imag.astype(ld)
+        return wr @ cos + wi @ sin, wi @ cos - wr @ sin
+    with mpmath.workdps(30):
+        re, im = [], []
+        for lx in map(mpmath.mpf, ln_x):
+            terms = [(mpmath.mpf(wk.real), mpmath.mpf(wk.imag),
+                      mpmath.cos(mpmath.mpf(tk) * lx),
+                      mpmath.sin(mpmath.mpf(tk) * lx))
+                     for tk, wk in zip(t, w)]
+            re.append(mpmath.fsum(a * c + b * s for a, b, c, s in terms))
+            im.append(mpmath.fsum(b * c - a * s for a, b, c, s in terms))
+        return re, im
+
+
 def extended_level_value(t, w, ln_x, half, re_max, c, power):
     """The value of one trapezoid level from its float64 t, w and ln x,
     step 2 half/(n - 1) and scale exp(re_max - c ln x (+ (power + 1) ln x)),
-    summed in extended precision: long double, or mpmath at 30 digits
-    where long double is no wider than float64.  A float64 sum would
-    carry rounding of the size of the evaluator's own error bound."""
+    summed in extended precision (``extended_phase_sums``).  A float64 sum
+    would carry rounding of the size of the evaluator's own error bound."""
     n = len(t)
-    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+    if LONG_DOUBLE_WIDER:
         ld = np.longdouble
         lx = ln_x.astype(ld)
-        arg = np.outer(t.astype(ld), lx)
-        # Re sum_k w_k exp(-i t_k ln x)
-        sums = w.real.astype(ld) @ np.cos(arg) + w.imag.astype(ld) @ np.sin(arg)
+        sums, _ = extended_phase_sums(t, w, ln_x)
         expo = ld(re_max) - ld(c) * lx
         if power is not None:
             expo += (ld(power) + 1) * lx
         step = 2 * ld(half) / (n - 1)
         return sums * step / (8 * np.arctan(ld(1))) * np.exp(expo)
     with mpmath.workdps(30):
+        sums, _ = extended_phase_sums(t, w, ln_x)
         out = []
-        for lx in map(mpmath.mpf, ln_x):
-            total = mpmath.fsum(
-                mpmath.mpf(wk.real) * mpmath.cos(mpmath.mpf(tk) * lx)
-                + mpmath.mpf(wk.imag) * mpmath.sin(mpmath.mpf(tk) * lx)
-                for tk, wk in zip(t, w))
+        for total, lx in zip(sums, map(mpmath.mpf, ln_x)):
             expo = mpmath.mpf(re_max) - mpmath.mpf(c) * lx
             if power is not None:
                 expo += (mpmath.mpf(power) + 1) * lx
@@ -464,6 +485,34 @@ class TestOscillatorySums:
         w, t = w[1::2], t[1::2]
         assert len(t) == 2 * half and np.all(t[half:] > 0.0)
         self.check(w, t, self.batches[batch], symmetric)
+
+    @pytest.mark.parametrize("nodes", ["level", "odd_nodes"])
+    def test_wide_phases_match_extended_sum(self, nodes):
+        """|t ln x| up to 960 * 50: each phase may err by about
+        eps |t ln x|, as exp(-i t ln x) does by rounding t ln x.  The
+        weights are phase-locked to two arguments, where a phase error
+        that drifts along the nodes adds up instead of averaging out, and
+        their envelope is one-sided, so that an error odd in t does not
+        cancel between the half-lines."""
+        t = np.linspace(-960.0, 960.0, 4097)  # the truncation cap
+        ln_x = np.linspace(-50.0, 50.0, 97)
+        rng = np.random.default_rng(7)
+        w = np.exp(-((t - 320.0) / 320.0) ** 2) * (
+            np.exp(1j * t * ln_x[-1]) + 0.5 * np.exp(1j * t * ln_x[10])
+            + 0.3j * np.sin(0.7 * t) + 0.2 * rng.standard_normal(len(t)))
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        if nodes == "odd_nodes":
+            w, t = w[1::2], t[1::2]
+        vals, resid = foxh._oscillatory_sums(w, t, ln_x)
+        want_vals, want_resid = extended_phase_sums(t, w, ln_x)
+        with mpmath.workdps(30):
+            vals_err = max(abs(g - v) for g, v in zip(vals, want_vals))
+            resid_err = max(abs(g - v) for g, v in zip(resid, want_resid))
+        tol = (np.finfo(float).eps * np.max(np.abs(t)) * np.max(np.abs(ln_x))
+               * float(np.sum(np.abs(w))))
+        assert vals_err <= tol
+        assert resid_err <= tol
 
     @staticmethod
     def check(w, t, ln_x, symmetric):
@@ -581,6 +630,61 @@ class TestNestedRefinement:
                 np.testing.assert_array_equal(g, w)
 
 
+def dense_series_theta(base_rows, log_weights):
+    """The fused series as a log-sum-exp written out: the Gamma(k + s)
+    ladder by complex logs, and every term held at once."""
+    lw = np.asarray(log_weights, dtype=float)
+
+    def fn(s):
+        acc = np.zeros_like(s)
+        for b, bb in base_rows:
+            acc = acc + foxh.log_gamma_complex(b + bb * s)
+        ladder = foxh.log_gamma_complex(s)
+        terms = np.empty((len(lw),) + s.shape, dtype=complex)
+        for k in range(len(lw)):
+            terms[k] = lw[k] + ladder
+            ladder = ladder + np.log(k + s)
+        m = terms.real.max(axis=0)
+        return acc + np.log(np.sum(np.exp(terms - m), axis=0)) + m
+
+    return fn
+
+
+class TestFusedSeries:
+    """fig2's Malaga hop: 320 terms on 8,193 nodes out to the truncation
+    cap |Im s| = 960."""
+
+    MALAGA = TestNestedRefinement.MALAGA
+    T = np.linspace(-960.0, 960.0, 8193)
+
+    def series(self):
+        lk = self.MALAGA._kernel[1]
+        assert len(lk) == 320
+        return ((self.MALAGA.alpha - 1.0, 1.0),), lk
+
+    @pytest.mark.parametrize("contour", ["pdf", "cdf"])
+    def test_matches_dense_log_sum_exp(self, contour):
+        c = getattr(self.MALAGA, f"_{contour}_contour").c
+        s = c + 1j * self.T
+        got = foxh.fused_series_theta(*self.series())(s)
+        want = dense_series_theta(*self.series())(s)
+        top = want.real.max()
+        assert np.max(np.abs(np.exp(got - top) - np.exp(want - top))) <= 1e-14
+
+    def test_memory_stays_node_length(self):
+        """A few node-length arrays, not one per term (the dense form's
+        320 x 8,193 buffer is 42 MB)."""
+        s = self.MALAGA._pdf_contour.c + 1j * self.T
+        fn = foxh.fused_series_theta(*self.series())
+        tracemalloc.start()
+        try:
+            fn(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * s.nbytes
+
+
 @st.composite
 def meijer_rows(draw):
     """Unit-scale rows (A_j = B_j = 1): the H-function is a Meijer G.
@@ -601,27 +705,49 @@ def meijer_rows(draw):
     return params, a, b
 
 
+def oracle_rows(v):
+    """Row values as mpmath's ``meijerg`` gets them: a value within 1e-300
+    of an integer is moved onto it.  mpmath fails to converge on a pole
+    gap that small (hypercomb raises ``ValueError`` at x = 50 for lower
+    rows 0, 0 and the subnormal 2.2e-309), where G is continuous in its
+    rows and the same rows with an exact zero gap evaluate.  Between row
+    values in [-1/2, 4] only such a value can leave a gap below 1e-300;
+    foxh still gets the rows as drawn."""
+    return [float(round(x)) if abs(x - round(x)) < 1e-300 else x for x in v]
+
+
+# lower rows whose subnormal pole gap mpmath cannot resolve unaided
+SUBNORMAL_GAP = (HParams(m=3, n=0, upper=((3.5, 1.0),),
+                         lower=((0.0, 1.0), (0.0, 1.0),
+                                (2.225073858507203e-309, 1.0))),
+                 [3.5], [0.0, 0.0, 2.225073858507203e-309])
+
+
 class TestMeijerGOracle:
     x = np.geomspace(1e-3, 50.0, 7)
 
     @given(meijer_rows())
+    @example(SUBNORMAL_GAP)
     @settings(max_examples=25, deadline=None)
     def test_eval_h_matches_mpmath(self, case):
         params, a, b = case
         got, err = foxh.eval_h(params, self.x)
         n, m = params.n, params.m
+        a, b = oracle_rows(a), oracle_rows(b)
         with mpmath.workdps(30):
             want = [float(mpmath.meijerg([a[:n], a[n:]], [b[:m], b[m:]], x))
                     for x in self.x]
         assert np.all(np.abs(got - want) <= err + 1e-12 * np.abs(want))
 
     @given(meijer_rows())
+    @example(SUBNORMAL_GAP)
     @settings(max_examples=25, deadline=None)
     def test_cdf_kernel_matches_mpmath(self, case):
         # int_0^x G^{m,n}_{p,q}(t) dt = x G^{m,n+1}_{p+1,q+1}(x | 0, a; b, -1)
         params, a, b = case
         got, err = foxh.eval_h_cdf_kernel(params, self.x)
         n, m = params.n, params.m
+        a, b = oracle_rows(a), oracle_rows(b)
         with mpmath.workdps(30):
             want = [float(x * mpmath.meijerg([[0] + a[:n], a[n:]],
                                              [b[:m], b[m:] + [-1]], x))
