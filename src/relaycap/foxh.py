@@ -309,7 +309,7 @@ def _oscillatory_sums(w: np.ndarray, t: np.ndarray, ln_x: np.ndarray):
     if len(t) % 2:
         weights[:, 0] *= 0.5  # t = 0 shared between the two half-lines
     weights = weights.reshape(2 * rows, block)
-    h = (t_pos[-1] - t_pos[0]) / max(len(t_pos) - 1, 1)
+    h = (t_pos[-1] - t_pos[0]) / (len(t_pos) - 1)
 
     total = np.empty(ln_x.shape, dtype=complex)
     chunk = max(1, int(2_000_000 / (3 * rows + block)))  # cells per argument
