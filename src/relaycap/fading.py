@@ -2,16 +2,18 @@
 
 Every model exposes the same surface: ``pdf``, ``cdf``, ``sample``,
 ``with_mean_snr`` and a ``mean`` property equal to E[gamma].  pdf/cdf
-accept scalars or numpy arrays and are 0 for gamma <= 0.  ``to_h``
-returns the density kappa * H(delta * gamma) of Exponential, Gamma,
-Weibull, GeneralizedGamma and GammaGamma; the other families raise
-``UnsupportedHForm``.  GammaGamma, Malaga and GenericH evaluate pdf/cdf
-through one H kernel in :mod:`.foxh`; the samplers are built from the
+accept scalars or numpy arrays and are 0 for gamma <= 0.  They run on
+three evaluators: Exponential, Gamma, Weibull and GeneralizedGamma on
+one generalized-Gamma law, which also gives their ``to_h`` density
+kappa * H(delta * gamma); WeibullGamma and DoubleGeneralizedGamma on one
+two-factor product, integrated over a fixed grid of its second factor
+(their ``to_h`` raises ``UnsupportedHForm``); GammaGamma, Malaga and
+GenericH on the H kernel in :mod:`.foxh`.  The samplers follow the
 constitutive random-variable recipes instead, so Monte Carlo stays an
-independent route end to end.  Gamma, GeneralizedGamma, WeibullGamma
-and DoubleGeneralizedGamma import ``scipy.special`` inside the methods
-that need incomplete gamma functions; the other families run on numpy
-and ``math`` alone, so importing the catalog loads no scipy.
+independent route end to end.  ``scipy.special`` is imported only in
+the methods that need incomplete gamma functions, which Gamma reaches
+at shapes other than 1 and GeneralizedGamma and the product laws
+always; Exponential, Weibull and the H kernel never load scipy.
 
 Each family declares once which fields must be positive
 (``_POSITIVE``) and which field is its mean (``_MEAN``); the mean only
@@ -151,35 +153,70 @@ def _positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
+def _gen_gamma_pdf(x: np.ndarray, shape: float, power: float,
+                   scale: float) -> np.ndarray:
+    """Density of scale * G**(1/power), G ~ Gamma(shape, 1), at x > 0;
+    z**(shape*power - 1) is left out where it is 1, so z = 0 reads its limit."""
+    z = x / scale
+    if shape * power == 1.0:
+        log_f = -z ** power - math.lgamma(shape)
+    else:
+        with np.errstate(divide="ignore"):
+            log_f = ((shape * power - 1.0) * np.log(z) - z ** power
+                     - math.lgamma(shape))
+    return np.exp(log_f) * power / scale
+
+
+def _gen_gamma_cdf(x: np.ndarray, shape: float, power: float,
+                   scale: float) -> np.ndarray:
+    """CDF of scale * G**(1/power), G ~ Gamma(shape, 1), at x > 0; only
+    shapes other than 1 need scipy's incomplete gamma function."""
+    z = (x / scale) ** power
+    if shape == 1.0:
+        return -np.expm1(-z)
+    from scipy import special as sp
+    return sp.gammainc(shape, z)
+
+
+class _GenGammaLaw(FadingModel):
+    """pdf, cdf and H-form of scale * G**(1/power), G ~ Gamma(shape, 1).
+
+    Subclasses supply ``_law = (shape, power, scale)``.
+    """
+
+    def pdf(self, gamma):
+        return _positive_part(gamma, lambda g: _gen_gamma_pdf(g, *self._law))
+
+    def cdf(self, gamma):
+        return _positive_part(gamma, lambda g: _gen_gamma_cdf(g, *self._law))
+
+    def to_h(self) -> HRepresentation:
+        m, xi, scale = self._law
+        r = 1.0 / scale
+        return HRepresentation(
+            kappa=r / math.gamma(m), delta=r,
+            params=HParams(m=1, n=0, lower=((m - 1.0 / xi, 1.0 / xi),)),
+        )
+
+
 @dataclass(frozen=True)
-class Exponential(FadingModel):
+class Exponential(_GenGammaLaw):
     """Rayleigh-faded SNR: exponential with the given mean."""
 
     mean_snr: float = 1.0
 
     _POSITIVE = ("mean_snr",)
 
-    def pdf(self, gamma):
-        r = 1.0 / self.mean_snr
-        return _positive_part(gamma, lambda g: r * np.exp(-r * g))
-
-    def cdf(self, gamma):
-        r = 1.0 / self.mean_snr
-        return _positive_part(gamma, lambda g: -np.expm1(-r * g))
+    @property
+    def _law(self):
+        return 1.0, 1.0, self.mean_snr
 
     def sample(self, rng, n):
         return rng.exponential(self.mean_snr, n)
 
-    def to_h(self) -> HRepresentation:
-        r = 1.0 / self.mean_snr
-        return HRepresentation(
-            kappa=r, delta=r,
-            params=HParams(m=1, n=0, lower=((0.0, 1.0),)),
-        )
-
 
 @dataclass(frozen=True)
-class Gamma(FadingModel):
+class Gamma(_GenGammaLaw):
     """Nakagami-m power fading: Gamma-distributed SNR."""
 
     shape: float
@@ -187,32 +224,16 @@ class Gamma(FadingModel):
 
     _POSITIVE = ("shape", "mean_snr")
 
-    def pdf(self, gamma):
-        from scipy import special as sp
-        m, rate = self.shape, self.shape / self.mean_snr
-        return _positive_part(gamma, lambda g: np.exp(
-            m * np.log(rate) + (m - 1.0) * np.log(g) - rate * g
-            - sp.gammaln(m)
-        ))
-
-    def cdf(self, gamma):
-        from scipy import special as sp
-        m, rate = self.shape, self.shape / self.mean_snr
-        return _positive_part(gamma, lambda g: sp.gammainc(m, rate * g))
+    @property
+    def _law(self):
+        return self.shape, 1.0, self.mean_snr / self.shape
 
     def sample(self, rng, n):
         return rng.gamma(self.shape, self.mean_snr / self.shape, n)
 
-    def to_h(self) -> HRepresentation:
-        m, rate = self.shape, self.shape / self.mean_snr
-        return HRepresentation(
-            kappa=rate / math.gamma(m), delta=rate,
-            params=HParams(m=1, n=0, lower=((m - 1.0, 1.0),)),
-        )
-
 
 @dataclass(frozen=True)
-class Weibull(FadingModel):
+class Weibull(_GenGammaLaw):
     """Weibull-distributed SNR, parameterised by its mean.
 
     The scale is mean_snr / Gamma(1 + 1/shape), so ``mean`` is exact.
@@ -227,42 +248,16 @@ class Weibull(FadingModel):
     def _scale(self) -> float:
         return self.mean_snr / math.gamma(1.0 + 1.0 / self.shape)
 
-    def pdf(self, gamma):
-        k, lam = self.shape, self._scale
-
-        def f(g):
-            z = g / lam
-            return (k / lam) * z ** (k - 1.0) * np.exp(-(z ** k))
-
-        return _positive_part(gamma, f)
-
-    def cdf(self, gamma):
-        k, lam = self.shape, self._scale
-        return _positive_part(gamma, lambda g: -np.expm1(-((g / lam) ** k)))
+    @property
+    def _law(self):
+        return 1.0, self.shape, self._scale
 
     def sample(self, rng, n):
         return self._scale * rng.weibull(self.shape, n)
 
-    def to_h(self) -> HRepresentation:
-        k = self.shape
-        r = 1.0 / self._scale
-        return HRepresentation(
-            kappa=r, delta=r,
-            params=HParams(m=1, n=0, lower=((1.0 - 1.0 / k, 1.0 / k),)),
-        )
-
-
-def _gen_gamma_pdf(x: np.ndarray, shape: float, power: float,
-                   scale: float) -> np.ndarray:
-    """Density of scale * G**(1/power), G ~ Gamma(shape, 1), at x > 0."""
-    from scipy import special as sp
-    z = x / scale
-    return np.exp((shape * power - 1.0) * np.log(z) - z ** power
-                  - sp.gammaln(shape)) * power / scale
-
 
 @dataclass(frozen=True)
-class GeneralizedGamma(FadingModel):
+class GeneralizedGamma(_GenGammaLaw):
     """Stacy generalized-Gamma SNR, parameterised by its mean.
 
     ``gamma = scale * G**(1/power)`` with G ~ Gamma(shape, 1) and
@@ -282,25 +277,12 @@ class GeneralizedGamma(FadingModel):
                          - sp.gammaln(self.shape))
         return self.mean_snr / ratio
 
-    def pdf(self, gamma):
-        m, xi, a = self.shape, self.power, self._scale
-        return _positive_part(gamma, lambda g: _gen_gamma_pdf(g, m, xi, a))
-
-    def cdf(self, gamma):
-        from scipy import special as sp
-        m, xi, a = self.shape, self.power, self._scale
-        return _positive_part(gamma, lambda g: sp.gammainc(m, (g / a) ** xi))
+    @property
+    def _law(self):
+        return self.shape, self.power, self._scale
 
     def sample(self, rng, n):
         return self._scale * rng.gamma(self.shape, 1.0, n) ** (1.0 / self.power)
-
-    def to_h(self) -> HRepresentation:
-        m, xi = self.shape, self.power
-        r = 1.0 / self._scale
-        return HRepresentation(
-            kappa=r / math.gamma(m), delta=r,
-            params=HParams(m=1, n=0, lower=((m - 1.0 / xi, 1.0 / xi),)),
-        )
 
 
 def _gen_gamma_grid(shape: float, power: float, scale: float):
@@ -325,15 +307,71 @@ def _gen_gamma_grid(shape: float, power: float, scale: float):
     return u, w / w.sum()
 
 
+class _ProductLaw(FadingModel):
+    """pdf and cdf of gamma = mean * I**r / E[I**r], where I = I1 * I2 is
+    a product of independent generalized-Gamma factors
+    I_i = (omega_i / m_i)**(1/alpha_i) * G_i**(1/alpha_i), G_i ~ Gamma(m_i, 1).
+
+    Subclasses supply ``_factors``, the (alpha_i, m_i, omega_i) of both
+    factors, and ``_order``, the power r.  pdf/cdf integrate the first
+    factor's law against a fixed log-space grid of the second.
+    """
+
+    def _product_moment(self, r: float) -> float:
+        from scipy import special as sp
+        return math.prod(
+            (om / m) ** (r / a) * math.exp(sp.gammaln(m + r / a) - sp.gammaln(m))
+            for a, m, om in self._factors)
+
+    def _y_of_gamma(self, g: np.ndarray) -> np.ndarray:
+        """Map SNR to the product value y = I1 * I2."""
+        r = self._order
+        return (g * self._product_moment(r) / self.mean) ** (1.0 / r)
+
+    def _factor_law(self, i: int) -> tuple[float, float, float]:
+        """(shape, power, scale) of factor i as a generalized Gamma."""
+        a, m, om = self._factors[i]
+        return m, a, (om / m) ** (1.0 / a)
+
+    @cached_property
+    def _factor2_grid(self):
+        return _gen_gamma_grid(*self._factor_law(1))
+
+    def pdf(self, gamma):
+        u, w = self._factor2_grid
+        r, law = self._order, self._factor_law(0)
+
+        def f(g):
+            y = self._y_of_gamma(g)
+            fy = (_gen_gamma_pdf(y[:, None] / u[None, :], *law)
+                  / u[None, :]) @ w
+            # dy/dgamma = y / (r * gamma)
+            return fy * y / (r * g)
+
+        return _positive_part(gamma, f)
+
+    def cdf(self, gamma):
+        u, w = self._factor2_grid
+        law = self._factor_law(0)
+
+        def f(g):
+            y = self._y_of_gamma(g)
+            return np.clip(
+                _gen_gamma_cdf(y[:, None] / u[None, :], *law) @ w, 0.0, 1.0)
+
+        return _positive_part(gamma, f)
+
+
 @dataclass(frozen=True)
-class WeibullGamma(FadingModel):
+class WeibullGamma(_ProductLaw):
     """Weibull fading whose local-mean SNR is Gamma shadowed.
 
     Conditionally on the shadowing power S ~ Gamma(gamma_shape,
     mean_power / gamma_shape), the SNR is Weibull with shape
-    ``weibull_shape`` and conditional mean S.  No closed H-form exists
-    for this compound; pdf/cdf integrate the conditional laws over a
-    fixed log-space Gauss-Legendre grid of the shadowing density.
+    ``weibull_shape`` and conditional mean S.  This is the double
+    generalized Gamma with (alpha, m) = (weibull_shape, 1) and
+    (1, gamma_shape) at r = 1; it is an H^{2,0}_{0,2} law, but pdf/cdf
+    run through the two-factor product, not the H kernel.
     """
 
     weibull_shape: float
@@ -342,42 +380,16 @@ class WeibullGamma(FadingModel):
 
     _POSITIVE = ("weibull_shape", "gamma_shape", "mean_power")
     _MEAN = "mean_power"
+    _order = 1.0
 
-    @cached_property
-    def _shadow_grid(self):
-        a = self.gamma_shape
-        return _gen_gamma_grid(a, 1.0, self.mean_power / a)
-
-    def _conditional_scale(self, s: np.ndarray) -> np.ndarray:
-        return s / math.gamma(1.0 + 1.0 / self.weibull_shape)
-
-    def pdf(self, gamma):
-        k = self.weibull_shape
-        s, w = self._shadow_grid
-        lam = self._conditional_scale(s)
-
-        def f(g):
-            z = g[:, None] / lam[None, :]
-            return ((k / lam[None, :]) * z ** (k - 1.0) * np.exp(-(z ** k))) @ w
-
-        return _positive_part(gamma, f)
-
-    def cdf(self, gamma):
-        k = self.weibull_shape
-        s, w = self._shadow_grid
-        lam = self._conditional_scale(s)
-        return _positive_part(
-            gamma, lambda g: -np.expm1(-((g[:, None] / lam[None, :]) ** k)) @ w)
+    @property
+    def _factors(self):
+        return (self.weibull_shape, 1.0, 1.0), (1.0, self.gamma_shape, 1.0)
 
     def sample(self, rng, n):
         s = rng.gamma(self.gamma_shape, self.mean_power / self.gamma_shape, n)
-        return self._conditional_scale(s) * rng.weibull(self.weibull_shape, n)
-
-    def to_h(self):
-        raise UnsupportedHForm(
-            "the Weibull-Gamma compound has no valid H-function kernel; "
-            "use the quadrature pdf/cdf or the sampler"
-        )
+        return (s / math.gamma(1.0 + 1.0 / self.weibull_shape)
+                * rng.weibull(self.weibull_shape, n))
 
 
 class _HKernel(FadingModel):
@@ -502,14 +514,13 @@ class GammaGamma(_HKernel):
 
 
 @dataclass(frozen=True)
-class DoubleGeneralizedGamma(FadingModel):
+class DoubleGeneralizedGamma(_ProductLaw):
     """Product of two generalized-Gamma irradiance factors.
 
     I = I1 * I2 with I_i generalized-Gamma (alpha_i, m_i, omega_i);
     gamma = mean_snr * I**r / E[I**r], so a deterministic path loss
-    would cancel and none is taken.  pdf/cdf integrate one factor
-    against the other over a fixed log-space grid; the sampler
-    multiplies constitutive draws.
+    would cancel and none is taken.  The sampler multiplies
+    constitutive draws.
     """
 
     alpha1: float
@@ -524,55 +535,14 @@ class DoubleGeneralizedGamma(FadingModel):
     _POSITIVE = ("alpha1", "alpha2", "m1", "m2", "omega1", "omega2",
                  "mean_snr")
 
-    def _factor_moment(self, which: int, r: float) -> float:
-        from scipy import special as sp
-        a = self.alpha1 if which == 1 else self.alpha2
-        m = self.m1 if which == 1 else self.m2
-        om = self.omega1 if which == 1 else self.omega2
-        return (om / m) ** (r / a) * math.exp(sp.gammaln(m + r / a) - sp.gammaln(m))
-
-    def _product_moment(self, r: float) -> float:
-        return self._factor_moment(1, r) * self._factor_moment(2, r)
-
-    def _y_of_gamma(self, g: np.ndarray) -> np.ndarray:
-        """Map SNR to the product value y = I1 * I2."""
-        r = float(self.detection_order)
-        return (g * self._product_moment(r) / self.mean_snr) ** (1.0 / r)
-
-    @cached_property
-    def _factor2_grid(self):
-        a, m = self.alpha2, self.m2
-        return _gen_gamma_grid(m, a, (self.omega2 / m) ** (1.0 / a))
+    @property
+    def _factors(self):
+        return ((self.alpha1, self.m1, self.omega1),
+                (self.alpha2, self.m2, self.omega2))
 
     @property
-    def _factor1_scale(self) -> float:
-        return (self.omega1 / self.m1) ** (1.0 / self.alpha1)
-
-    def pdf(self, gamma):
-        u, w = self._factor2_grid
-        r = float(self.detection_order)
-        a, m, scale = self.alpha1, self.m1, self._factor1_scale
-
-        def f(g):
-            y = self._y_of_gamma(g)
-            fy = (_gen_gamma_pdf(y[:, None] / u[None, :], m, a, scale)
-                  / u[None, :]) @ w
-            # dy/dgamma = y / (r * gamma)
-            return fy * y / (r * g)
-
-        return _positive_part(gamma, f)
-
-    def cdf(self, gamma):
-        from scipy import special as sp
-        u, w = self._factor2_grid
-        a, m, scale = self.alpha1, self.m1, self._factor1_scale
-
-        def f(g):
-            y = self._y_of_gamma(g)
-            z = y[:, None] / u[None, :] / scale
-            return np.clip(sp.gammainc(m, z ** a) @ w, 0.0, 1.0)
-
-        return _positive_part(gamma, f)
+    def _order(self) -> float:
+        return float(self.detection_order)
 
     def sample(self, rng, n):
         i1 = (self.omega1 / self.m1) ** (1.0 / self.alpha1) \
@@ -581,12 +551,6 @@ class DoubleGeneralizedGamma(FadingModel):
             * rng.gamma(self.m2, 1.0, n) ** (1.0 / self.alpha2)
         r = float(self.detection_order)
         return self.mean_snr * (i1 * i2) ** r / self._product_moment(r)
-
-    def to_h(self):
-        raise UnsupportedHForm(
-            "the double generalized-Gamma product is evaluated by factor "
-            "quadrature here; no H-form is wired up"
-        )
 
 
 @dataclass(frozen=True)

@@ -455,10 +455,8 @@ def mellin_moment(
     kappa: float,
     delta: float,
     order: float,
-    *,
-    gamma_power: float = 0.0,
 ) -> float:
-    """E[x^order] for the density kappa * x^gamma_power * H(delta x).
+    """E[x^order] for the density kappa * H(delta x).
 
     Uses the closed Mellin form of the kernel, so the only numerics are
     real log-Gamma evaluations.  Raises ``DivergentIntegral`` when the
@@ -467,7 +465,7 @@ def mellin_moment(
     validate(params)
     if delta <= 0.0 or kappa <= 0.0:
         raise NonPositiveScale("moment needs positive kappa and delta")
-    s0 = order + gamma_power + 1.0
+    s0 = order + 1.0
     left, right = pole_gap(params)
     if not (left < s0 and (params.n == 0 or s0 < right)):
         raise DivergentIntegral(

@@ -700,6 +700,21 @@ class TestStartup:
         )
         assert self.fresh(code) == "[]"
 
+    def test_shape_one_laws_leave_scipy_unloaded(self):
+        # exponential and weibull are the generalized Gamma at shape 1,
+        # whose CDF is -expm1(-z) and needs no incomplete gamma function
+        code = (
+            "import sys\n"
+            "from relaycap.fading import model_from_config\n"
+            "for spec in ({'family': 'exponential', 'mean_snr': 2.0},\n"
+            "             {'family': 'weibull', 'shape': 1.7}):\n"
+            "    hop = model_from_config(spec)\n"
+            "    hop._verify_normalized()\n"
+            "    hop.pdf([0.5, 2.0]), hop.cdf([0.5, 2.0]), hop.to_h()\n"
+            "print('scipy.special' in sys.modules)\n"
+        )
+        assert self.fresh(code) == "False"
+
     @pytest.mark.parametrize("command,config", [
         ("capacity-sweep", "fig1_selective3"),
         ("outage-sweep", "fig2_malaga"),

@@ -77,6 +77,36 @@ class TestElementaryFamilies:
         assert model.mean == pytest.approx(ref.mean(), rel=1e-12)
 
 
+class TestUnderflowedArguments:
+    """A positive argument whose ratio to the scale underflows to 0 reads
+    the density's limit at 0, with no warning from log 0."""
+
+    unit_exponent = [
+        Exponential(mean_snr=10.0),
+        Gamma(shape=1.0, mean_snr=10.0),
+        Weibull(shape=1.0, mean_snr=10.0),
+        fading.GeneralizedGamma(shape=1.0, power=1.0, mean_snr=10.0),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model", unit_exponent,
+                             ids=[type(m).__name__ for m in unit_exponent])
+    @pytest.mark.parametrize("g", [5e-324, 1e-310])
+    def test_exponential_presets_read_one_over_mean(self, model, g):
+        assert model.pdf(g) == pytest.approx(0.1, rel=1e-15)
+        np.testing.assert_allclose(model.pdf(np.array([g, 1.0])),
+                                   [0.1, 0.1 * math.exp(-0.1)], rtol=1e-15)
+        assert model.cdf(g) == pytest.approx(g / 10.0, rel=1e-15, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model,limit", [
+        (Gamma(shape=2.7, mean_snr=10.0), 0.0),
+        (Weibull(shape=0.5, mean_snr=10.0), math.inf),
+    ], ids=["vanishing", "diverging"])
+    def test_other_exponents_reach_their_limit(self, model, limit):
+        assert model.pdf(5e-324) == limit
+
+
 class TestGammaGamma:
     def test_pdf_against_compound_quadrature(self):
         """Bessel product law times the power-of-uniform pointing factor."""
@@ -177,6 +207,28 @@ class TestWeibullGamma:
     def test_no_h_form(self):
         with pytest.raises(UnsupportedHForm):
             WeibullGamma(weibull_shape=2.2, gamma_shape=3.1).to_h()
+
+    @pytest.mark.parametrize("k,a,mean", [(2.2, 3.1, 0.9), (3.0, 5.0, 1.0),
+                                          (0.7, 1.5, 2.0)])
+    def test_pdf_cdf_against_shadow_quadrature(self, k, a, mean):
+        """Weibull conditional law integrated over the Gamma shadow."""
+        model = WeibullGamma(weibull_shape=k, gamma_shape=a, mean_power=mean)
+        shadow = st.gamma(a, scale=mean / a)
+        lo, hi = np.log(shadow.ppf(1e-16)), np.log(shadow.isf(1e-16))
+
+        def mix(conditional, g):
+            def f(t):
+                s = np.exp(t)
+                law = st.weibull_min(k, scale=s / sp.gamma(1.0 + 1.0 / k))
+                return conditional(law, g) * shadow.pdf(s) * s
+            val, _ = quad(f, lo, hi, limit=300, epsabs=0.0, epsrel=1e-12)
+            return val
+
+        for g in GRID:
+            assert float(model.pdf(g)) == pytest.approx(
+                mix(lambda law, x: law.pdf(x), g), rel=1e-8)
+            assert float(model.cdf(g)) == pytest.approx(
+                mix(lambda law, x: law.cdf(x), g), rel=1e-8)
 
 
 class TestMalaga:
