@@ -9,9 +9,11 @@ All capacities are in bits/s/Hz and carry a quadrature error estimate.
 A channel at mean m is m times its unit-mean law X, so every policy is
 an integral against X with m moved into the kernel.  Those integrals
 are read off one table per unit law (``_Table``): GK15 panels on cells
-of a grid in u = ln x, built on the first policy call and kept in the
-unit law's memo, and closed at its bottom by a power-law tail read off
-its three lowest unit spans.  The opra cutoff at every mean is the
+of a grid in u = ln x anchored at the law's 1 - 1e-6 quantile, which
+the table searches itself, built on the first policy call and kept in
+the unit law's memo, and closed at its bottom by a power-law tail read
+off its three lowest unit spans.  ``ora`` is ``effective``'s survival
+form at exponent 0.  The opra cutoff at every mean is the
 root of one decreasing function of X, bracketed on the table's cell
 edges and polished by Newton steps of one fresh panel each (of the
 tail alone where, at a very high mean, the root lies below the table).
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import DivergentIntegral, RelayCapError, RootNotBracketed
 # integrate stays bound here for bench/selftest.py's tracer checks
 from .quadrature import integrate, panel_nodes, panel_sums  # noqa: F401
-from .topology import EndToEndChannel
+from .topology import EndToEndChannel, _support_hint
 
 LN2 = math.log(2.0)
 
@@ -142,12 +144,12 @@ class _Table:
     Every policy at mean m is an integral against the unit law X with m
     moved into the kernel, so one table of the survival S and the
     density f at the Kronrod nodes of every cell serves every SNR
-    point.  The cells start uniform, of width 1 on
-    [ln(support_hint) - 28, ln(support_hint) + 4], and more unit cells
-    are added below and above until F at the lowest edge and S at the
-    highest are at most ``_TABLE_TOL`` (see ``_widen``); then a cell
-    whose panel error on the mass f e^u or on S exceeds ``_TABLE_TOL``
-    is halved until none does.  Both stop at ``_TABLE_MAX_CELLS``
+    point.  The cells start uniform, of width 1 on [ln(hint) - 28,
+    ln(hint) + 4], ``hint`` the law's 1 - 1e-6 quantile searched here,
+    and more unit cells are added below and above until F at the lowest
+    edge and S at the highest are at most ``_TABLE_TOL`` (see
+    ``_widen``); then a cell whose panel error on the mass f e^u or on S
+    exceeds ``_TABLE_TOL`` is halved until none does.  Both stop at ``_TABLE_MAX_CELLS``
     cells.  ``edge_sf`` is S at every edge, ``low_cdf`` F at the lowest
     and ``top_sf`` S at the highest, and ``top_inv`` = top_sf e^-u_top
     bounds the integral of f(x)/x above the table; ``mass`` and ``inv``
@@ -167,7 +169,8 @@ class _Table:
     """
 
     def __init__(self, ch: EndToEndChannel):
-        top = math.log(ch.support_hint) + _TABLE_ABOVE
+        self.hint = _support_hint(ch.cdf, 1.0)
+        top = math.log(self.hint) + _TABLE_ABOVE
         room = _TABLE_MAX_CELLS - _TABLE_CELLS
         up = _widen(ch, top, 1.0, room)
         down = _TABLE_CELLS + _widen(ch, top - _TABLE_CELLS, -1.0, room - up)
@@ -243,12 +246,12 @@ class _Table:
         For y on the table, the cells above the one holding y come from
         the table; the part of that cell above y is one fresh GK15
         panel, and the law is evaluated at its nodes and at y (one CDF
-        and one density call).  Above the table the law is taken as
-        empty, with S at the top edge charged.  Below it (a pinned
-        tcifr cutoff, or a cutoff at a mean so high that y is below the
-        table) the integral of f/x and f(y) come from the power-law
-        tail (``below``), S(y) is 1 with ``low_cdf`` charged, and the
-        partial panel is empty.
+        and one density call).  Above the table (only a pinned tcifr
+        cutoff) the law is empty, with S at the top edge charged, and is
+        not evaluated.  Below it (a pinned tcifr cutoff, or a cutoff at
+        a mean so high that y is below the table) the integral of f/x
+        and f(y) come from the power-law tail (``below``), S(y) is 1
+        with ``low_cdf`` charged, and the partial panel is empty.
         """
         u = math.log(y)
         none = np.zeros((0, 15))
@@ -259,9 +262,8 @@ class _Table:
                           (1.0, self.low_cdf),
                           (inv[0], inv[1] + self.top_inv))
         if u >= self.edges[-1]:
-            sf, f = _law_at(ch, np.array([u]))
-            return _Above(y, -1, none, none[:, 0], none, none, float(f[0]),
-                          (float(sf[0]), _EPS), (0.0, self.top_sf / y))
+            return _Above(y, -1, none, none[:, 0], none, none, 0.0,
+                          (0.0, self.top_sf), (0.0, self.top_sf / y))
         k = int(np.searchsorted(self.edges, u, side="right")) - 1
         nodes = panel_nodes(np.array([u]), self.edges[k + 1:k + 2])
         half = 0.5 * (self.edges[k + 1:k + 2] - u)
@@ -394,10 +396,21 @@ def _sf_integral(sf: np.ndarray, kernel: np.ndarray,
     return val, err + _EPS * noise
 
 
-def _expit(w):
-    """The logistic 1/(1 + e^-w); e^-w overflowing to inf gives 0."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-w))
+def _survival_form(tab: _Table, m: float, a: float) -> tuple[float, float]:
+    """Integral over (0, inf) of (1-F(g)) (1+g)^(-a-1) dg, g = m X, and
+    its error: over u = ln x of S(e^u) e^w (1 + e^w)^(-a-1), w = ln(m x),
+    on the unit-law table.  Below it S is 1, closing the integral with
+    (1 - (1 + m e^u_lo)^-a)/a, ln(1 + m e^u_lo) at a = 0, and F(e^u_lo)
+    times that closure is charged; above it S is 0, and S(e^u_top) times
+    the kernel at u_top is charged (see ``_Table``)."""
+    w = tab.nodes + math.log(m)  # m x = e^w
+    tail, err = _sf_integral(
+        tab.sf, np.exp(w - (a + 1.0) * np.logaddexp(0.0, w)), tab.half)
+    soft_lo = float(np.logaddexp(0.0, tab.edges[0] + math.log(m)))
+    closure = -math.expm1(-a * soft_lo) / a if a else soft_lo
+    w_top = tab.edges[-1] + math.log(m)
+    top = tab.top_sf * math.exp(w_top - (a + 1.0) * np.logaddexp(0.0, w_top))
+    return _checked(tail + closure, err + tab.low_cdf * closure + top)
 
 
 def ora(ch: EndToEndChannel,
@@ -405,22 +418,13 @@ def ora(ch: EndToEndChannel,
     """Constant transmit power, rate tracking the channel.
 
     capacity = (prelog/ln 2) * integral over (0, inf) of (1-F(g))/(1+g),
-    the integrated-by-parts form of E[prelog*log2(1+g)].  On the unit
-    law X of a channel g = m X this is the integral over u = ln x of
-    S(e^u) * m e^u/(1 + m e^u), read off the unit-law table.  Below the
-    table S is taken as 1, which closes the integral with
-    ln(1 + m e^u_lo); F(e^u_lo) times that closure is charged to the
-    error.  Above the table S is taken as 0, and S(e^u_top) times the
-    kernel at u_top is charged (see ``_Table``).
+    the integrated-by-parts form of E[prelog*log2(1+g)]: the d -> 0
+    limit of ``effective``, computed as its survival form at a = 0
+    (``_survival_form``).
     """
     pl = _prelog(prelog)
     tab, m = _unit_table(ch)
-    w = tab.nodes + math.log(m)  # m x = e^w
-    val, err = _sf_integral(tab.sf, _expit(w), tab.half)
-    closure = float(np.logaddexp(0.0, tab.edges[0] + math.log(m)))
-    top = tab.top_sf * float(_expit(tab.edges[-1] + math.log(m)))
-    val, err = _checked(val + closure,
-                        err + tab.low_cdf * closure + top)
+    val, err = _survival_form(tab, m, 0.0)
     cap = max(pl / LN2 * val, 0.0)
     return PolicyResult(
         capacity=cap,
@@ -435,34 +439,26 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
     capacity = -(1/d) * ln E[(1+g)^(-d*prelog/ln 2)] with d = qos_delta.
     The natural log makes the d -> 0 limit recover ``ora`` exactly.
     Both forms below are integrals over the unit-law table, with
-    w = ln(m x); below the table the law is closed as in ``ora``, and
-    above it each form is charged S at the top edge times its kernel
-    there (see ``_Table``).
+    w = ln(m x); below the table the density form closes the law with
+    the mass F(e^u_lo), and above it each form is charged S at the top
+    edge times its kernel there (see ``_Table``).
     """
     pl = _prelog(prelog)
     d = params.qos_delta
     a = d * pl / LN2
     tab, m = _unit_table(ch)
-    w = tab.nodes + math.log(m)  # m x = e^w
-    soft = np.logaddexp(0.0, w)  # ln(1 + m x)
-    soft_lo = float(np.logaddexp(0.0, tab.edges[0] + math.log(m)))
-    w_top = tab.edges[-1] + math.log(m)
-    soft_top = float(np.logaddexp(0.0, w_top))
-    if min(a, a * ch.support_hint) <= _EFFECTIVE_PARTS_LIMIT:
+    if min(a, a * (tab.hint * m)) <= _EFFECTIVE_PARTS_LIMIT:
         # Density-form quadrature noise on the moment is amplified by
         # 1/d in the capacity; the by-parts form E = 1 - a*int (1-F) *
         # (1+g)^(-a-1) dg enters only through a, so it stays accurate
         # down to the d -> 0 limit.  It does the same when the channel
         # barely reaches past 0 (low SNR), where 1 - E is small too.
-        tail, err = _sf_integral(tab.sf, np.exp(w - (a + 1.0) * soft),
-                                 tab.half)
-        closure = -math.expm1(-a * soft_lo) / a
-        top = tab.top_sf * math.exp(w_top - (a + 1.0) * soft_top)
-        tail, err = _checked(tail + closure,
-                             err + tab.low_cdf * closure + top)
+        tail, err = _survival_form(tab, m, a)
         val, err = 1.0 - a * tail, a * err
     else:
         tail = None
+        soft = np.logaddexp(0.0, tab.nodes + math.log(m))  # ln(1 + m x)
+        soft_lo, soft_top = np.logaddexp(0.0, tab.edges[[0, -1]] + math.log(m))
         val, err = tab.integral(tab.pdf * np.exp(tab.nodes - a * soft))
         # the mass F(e^u_lo) below the table sees a kernel in
         # [(1 + m e^u_lo)^-a, 1]: take the midpoint, charge half the span

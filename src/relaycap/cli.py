@@ -625,8 +625,10 @@ def cmd_validate(args) -> int:
     expected_false = comparisons * 0.0027
     lines.append(
         f"comparisons: {comparisons}; at the 3-sigma level about "
-        f"{_fmt(expected_false)} false alarms are expected by chance "
-        f"(no multiplicity correction applied)"
+        f"{_fmt(expected_false)} false alarms would be expected by chance "
+        f"if they were independent, but one set of draws is rescaled to "
+        f"every SNR point, so rows at the same tau/mean share their draws "
+        f"and alarms come in clusters (no multiplicity correction applied)"
     )
     if offenders:
         lines.append(f"result: FAIL ({len(offenders)} point(s) beyond 3 sigma)")

@@ -272,9 +272,8 @@ class GeneralizedGamma(_GenGammaLaw):
 
     @property
     def _scale(self) -> float:
-        from scipy import special as sp
-        ratio = math.exp(sp.gammaln(self.shape + 1.0 / self.power)
-                         - sp.gammaln(self.shape))
+        ratio = math.exp(math.lgamma(self.shape + 1.0 / self.power)
+                         - math.lgamma(self.shape))
         return self.mean_snr / ratio
 
     @property

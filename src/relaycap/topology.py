@@ -266,14 +266,15 @@ class EndToEndChannel:
     integrals fold it into their reported error.  A channel made by
     ``scaled`` is the law of ``factor * X`` for the SNR ``X`` of its
     ``unit`` channel; ``memo`` keeps quantities derived from a law.
-    Capacity stores the inverse-SNR moment in the unit law's memo, so
-    every channel scaled from it reads the same entry, and the opra
-    cutoff, which does not scale, in each channel's own memo.
+    Capacity stores its table of the law (anchored at the law's
+    1 - 1e-6 quantile, which the table searches itself) and the
+    inverse-SNR moment in the unit law's memo, so every channel scaled
+    from it reads the same entries, and the opra cutoff, which does not
+    scale, in each channel's own memo.
     """
 
     cdf: Callable
     pdf: Callable
-    support_hint: float
     resolution_error: float = 0.0
     description: str = ""
     unit: EndToEndChannel | None = field(default=None, repr=False,
@@ -298,7 +299,6 @@ class EndToEndChannel:
             unit,
             cdf=lambda t: _apply(t, lambda x: cdf(x / factor)),
             pdf=lambda t: _apply(t, lambda x: pdf(x / factor) / factor),
-            support_hint=unit.support_hint * factor,
             unit=unit,
             factor=factor,
         )
@@ -315,16 +315,16 @@ def end_to_end(topology: Topology) -> EndToEndChannel:
     """Build the end-to-end channel law for a topology."""
     if isinstance(topology, Serial):
         hops = topology.hops
-        return _closed_form(
+        return EndToEndChannel(
             lambda t: serial_cdf(hops, t), lambda t: serial_pdf(hops, t),
-            min(h.mean for h in hops), f"serial chain of {len(hops)} hop(s)")
+            description=f"serial chain of {len(hops)} hop(s)")
     if isinstance(topology, Selective):
         branches, formula = topology.branches, topology.formula
-        return _closed_form(
+        return EndToEndChannel(
             lambda t: selective_cdf(branches, t, formula=formula),
             lambda t: selective_pdf(branches, t, formula=formula),
-            max(h.mean for h in topology.flat_hops()),
-            f"best of {len(branches)} relay branch(es), {formula} form")
+            description=f"best of {len(branches)} relay branch(es), "
+                        f"{formula} form")
     if isinstance(topology, AllActive):
         if len(topology.branches) > 1:
             return _all_active_channel(topology)
@@ -332,18 +332,10 @@ def end_to_end(topology: Topology) -> EndToEndChannel:
         # grid keeps its exact tail behaviour (a grid law cuts off the
         # origin, which would hide a divergent inverse moment)
         pair = topology.branches[0]
-        return _closed_form(
+        return EndToEndChannel(
             lambda t: branch_cdf(pair, t), lambda t: branch_pdf(pair, t),
-            max(pair[0].mean, pair[1].mean),
-            "single active branch (hop-pair minimum)")
+            description="single active branch (hop-pair minimum)")
     raise TypeError(f"unknown topology {type(topology).__name__}")
-
-
-def _closed_form(cdf, pdf, start: float, description: str) -> EndToEndChannel:
-    """Channel of a closed-form law, its support hint searched from ``start``."""
-    return EndToEndChannel(cdf=cdf, pdf=pdf,
-                           support_hint=_support_hint(cdf, start),
-                           description=description)
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -402,7 +394,9 @@ def _all_active_channel(topology: AllActive) -> EndToEndChannel:
     if deficit > topology.mass_tol:
         raise GridResolutionInsufficient(
             f"convolution grid keeps {total:.6f} of the probability mass; "
-            f"raise grid_points above {k}"
+            f"the {deficit:.3g} lost is the branch laws' tail beyond their "
+            f"1 - 1e-6 quantile cap, above mass_tol {topology.mass_tol:g}, "
+            f"and grid_points does not change it"
         )
     # Renormalise the kept mass so downstream expectations see a proper
     # law; the deficit stays visible as resolution_error.
@@ -422,12 +416,8 @@ def _all_active_channel(topology: AllActive) -> EndToEndChannel:
         return _apply(t, lambda x: np.interp(
             x, centers, density, left=0.0, right=0.0))
 
-    target = _SUPPORT_QUANTILE * cum[-1]
-    idx = min(int(np.searchsorted(cum, target)), len(cum_edges) - 1)
-    hint = float(cum_edges[idx]) if cum[-1] > 0 else per_branch_cap
-
     return EndToEndChannel(
-        cdf=cdf, pdf=pdf, support_hint=hint,
+        cdf=cdf, pdf=pdf,
         resolution_error=max(deficit, 0.0),
         description=(
             f"sum of {len(branches)} active branch(es) on a "

@@ -38,7 +38,7 @@ from relaycap.fading import (
 )
 from relaycap.foxh import HParams
 from relaycap.montecarlo import SimConfig, simulate
-from relaycap.quadrature import integrate_semi_infinite
+from relaycap.quadrature import integrate_semi_infinite, quantile_search
 from relaycap.topology import AllActive, Selective, Serial, end_to_end
 
 LN2 = math.log(2.0)
@@ -154,7 +154,8 @@ def _ora_density_form(ch) -> tuple[float, float]:
         return f * np.log1p(g)
 
     val, err = integrate_semi_infinite(
-        integrand, 0.0, scale=max(ch.support_hint, 1.0) / 3.0, rel_tol=1e-9,
+        integrand, 0.0, scale=max(quantile_search(ch.cdf, 1.0 - 1e-6), 1.0) / 3.0,
+        rel_tol=1e-9,
     )
     cap = 0.5 / LN2 * val
     return cap, 0.5 / LN2 * err + ch.resolution_error * (1.0 + abs(cap))

@@ -5,6 +5,7 @@ evaluation of the stated closed form; the tests compare the library's
 quadrature routes against them.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -263,6 +264,27 @@ class TestTcifr:
         high = capacity.tcifr(exp1, 1e4)
         assert high.capacity == 0.0 and high.diagnostic is not None
 
+    def test_cutoff_above_the_table_reads_no_law(self):
+        # above the table the inverse moment is 0, so the no-mass result
+        # comes without evaluating the law at the cutoff
+        args = []
+
+        def counting(fn):
+            def law(x):
+                args.append(np.size(x))
+                return fn(x)
+            return law
+
+        ch = end_to_end(Serial(hops=(Exponential(1.0),)))
+        ch = dataclasses.replace(ch, cdf=counting(ch.cdf),
+                                 pdf=counting(ch.pdf))
+        tab, _ = capacity._unit_table(ch)
+        args.clear()
+        r = capacity.tcifr(ch, 2.0 * math.exp(tab.edges[-1]))
+        assert args == []
+        assert r.capacity == 0.0 and r.quad_error == 0.0
+        assert r.diagnostic == "no usable probability mass above the cutoff"
+
     def test_gamma_shape_two(self, gamma2):
         r = capacity.tcifr(gamma2, 0.5)
         assert r.capacity == pytest.approx(TCIFR_GAMMA2_CUT05, abs=1e-9)
@@ -373,8 +395,7 @@ class TestOneCutoffSolvePerChannel:
 
     def test_a_failed_solve_raises_again_without_solving(self, solves):
         # no survival anywhere: the cutoff objective is -1 at every x
-        ch = EndToEndChannel(cdf=np.ones_like, pdf=np.zeros_like,
-                             support_hint=1.0)
+        ch = EndToEndChannel(cdf=np.ones_like, pdf=np.zeros_like)
         for call in self.CALLS:
             with pytest.raises(RootNotBracketed):
                 call(ch)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from relaycap import topology
+from relaycap import capacity, topology
 from relaycap.errors import GridResolutionInsufficient
 from relaycap.fading import Exponential, Gamma
 from relaycap.topology import (
@@ -50,8 +50,10 @@ class TestSerial:
         np.testing.assert_allclose(ch.cdf(TAUS), hop.cdf(TAUS), rtol=1e-12)
 
     def test_support_hint_covers_the_law(self):
+        # the unit-law table is anchored at the law's 1 - 1e-6 quantile
         ch = end_to_end(Serial(hops=(Exponential(1.0), Exponential(1.0))))
-        assert float(ch.cdf(ch.support_hint)) > 0.999
+        tab, _ = capacity._unit_table(ch)
+        assert float(ch.cdf(tab.hint)) > 0.999
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
@@ -208,8 +210,19 @@ class TestAllActive:
     def test_insufficient_grid_raises(self):
         bad = AllActive(branches=self.two_branch().branches,
                         grid_points=4096, mass_tol=1e-12)
-        with pytest.raises(GridResolutionInsufficient):
+        with pytest.raises(GridResolutionInsufficient,
+                           match="grid_points does not change it"):
             end_to_end(bad)
+
+    def test_lost_mass_does_not_depend_on_the_grid(self):
+        # the lost mass is the branch laws' tail beyond the grid's cap,
+        # the same at every bin count, so more bins cannot mend a failure
+        coarse, fine = (end_to_end(AllActive(
+            branches=self.two_branch().branches, grid_points=k))
+            for k in (1024, 16384))
+        assert coarse.resolution_error == pytest.approx(
+            fine.resolution_error, rel=1e-9)
+        assert coarse.resolution_error > 1e-6
 
     def test_tiny_grid_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -235,7 +248,6 @@ class TestScaledChannel:
         assert got.cdf(1.0) == pytest.approx(unit.cdf(0.1), rel=1e-15)
         assert got.pdf(1.0) == pytest.approx(unit.pdf(0.1) / 10.0,
                                              rel=1e-15)
-        assert got.support_hint == 10.0 * unit.support_hint
         assert got.resolution_error == unit.resolution_error
         assert got.description == unit.description
 
@@ -246,7 +258,6 @@ class TestScaledChannel:
         assert once.unit is unit and twice.unit is unit
         assert twice.factor == 10.0
         assert twice.memo is not unit.memo
-        assert twice.support_hint == 10.0 * unit.support_hint
         np.testing.assert_array_equal(twice.cdf(TAUS),
                                       unit.scaled(10.0).cdf(TAUS))
         np.testing.assert_array_equal(twice.pdf(TAUS),
