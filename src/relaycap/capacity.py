@@ -48,7 +48,7 @@ _TABLE_TOL = 1e-12
 _TABLE_MAX_CELLS = 512
 _LAW_BATCH = 128
 _SF_DIGITS = 1e-4
-_EFFECTIVE_PARTS_LIMIT = 0.01  # a or a * support below which by-parts wins
+_EFFECTIVE_PARTS_LIMIT = 0.01  # a or a * hint * m below which by-parts wins
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ two-factor product, integrated over a fixed grid of its second factor
 GenericH on the H kernel in :mod:`.foxh`.  The samplers follow the
 constitutive random-variable recipes instead, so Monte Carlo stays an
 independent route end to end.  ``scipy.special`` is imported only in
-the methods that need incomplete gamma functions, which Gamma reaches
-at shapes other than 1 and GeneralizedGamma and the product laws
+the methods that need incomplete gamma functions, which Gamma and
+GeneralizedGamma reach at shapes other than 1 and the product laws
 always; Exponential, Weibull and the H kernel never load scipy.
 
 Each family declares once which fields must be positive
