@@ -12,8 +12,9 @@ are read off one table per unit law (``_Table``): GK15 panels on cells
 of a grid in u = ln x anchored at the law's 1 - 1e-6 quantile, which
 the table searches itself, built on the first policy call and kept in
 the unit law's memo, and closed at its bottom by a power-law tail read
-off its three lowest unit spans.  ``ora`` is ``effective``'s survival
-form at exponent 0.  The opra cutoff at every mean is the
+off its three lowest unit spans.  ``effective`` sums one by-parts
+kernel against S or F, whichever does not cancel, and ``ora`` is its
+survival form at exponent 0.  The opra cutoff at every mean is the
 root of one decreasing function of X, bracketed on the table's cell
 edges and polished by Newton steps of one fresh panel each (of the
 tail alone where, at a very high mean, the root lies below the table).
@@ -48,7 +49,6 @@ _TABLE_TOL = 1e-12
 _TABLE_MAX_CELLS = 512
 _LAW_BATCH = 128
 _SF_DIGITS = 1e-4
-_EFFECTIVE_PARTS_LIMIT = 0.01  # a or a * hint * m below which by-parts wins
 
 
 @dataclass(frozen=True)
@@ -142,19 +142,20 @@ class _Table:
     """The unit law on GK15 cells in u = ln x.
 
     Every policy at mean m is an integral against the unit law X with m
-    moved into the kernel, so one table of the survival S and the
-    density f at the Kronrod nodes of every cell serves every SNR
-    point.  The cells start uniform, of width 1 on [ln(hint) - 28,
-    ln(hint) + 4], ``hint`` the law's 1 - 1e-6 quantile searched here,
-    and more unit cells are added below and above until F at the lowest
-    edge and S at the highest are at most ``_TABLE_TOL`` (see
-    ``_widen``); then a cell whose panel error on the mass f e^u or on S
-    exceeds ``_TABLE_TOL`` is halved until none does.  Both stop at ``_TABLE_MAX_CELLS``
-    cells.  ``edge_sf`` is S at every edge, ``low_cdf`` F at the lowest
-    and ``top_sf`` S at the highest, and ``top_inv`` = top_sf e^-u_top
-    bounds the integral of f(x)/x above the table; ``mass`` and ``inv``
-    hold each cell's integrals of f(x) and f(x)/x, i.e. of f e^u and f
-    over u, and their errors.
+    moved into the kernel, so one table of the CDF F and the density f
+    at the Kronrod nodes of every cell serves every SNR point; every
+    reader of the survival S takes 1 - F.  The cells start uniform, of
+    width 1 on [ln(hint) - 28, ln(hint) + 4], ``hint`` the law's
+    1 - 1e-6 quantile searched here, and more unit cells are added below
+    and above until F at the lowest edge and S at the highest are at
+    most ``_TABLE_TOL`` (see ``_widen``); then a cell whose panel error
+    on the mass f e^u or on S exceeds ``_TABLE_TOL`` is halved until
+    none does.  Both stop at ``_TABLE_MAX_CELLS`` cells.  ``edge_sf``
+    is S at every edge, ``low_cdf`` F at the lowest and ``top_sf`` S at
+    the highest, and ``top_inv`` = top_sf e^-u_top bounds the integral
+    of f(x)/x above the table; ``mass`` and ``inv`` hold each cell's
+    integrals of f(x) and f(x)/x, i.e. of f e^u and f over u, and their
+    errors.
 
     Below the table every integral of f/x is a power-law tail read off
     the table's lowest spans (see ``below``) and S is taken as 1, with
@@ -169,36 +170,35 @@ class _Table:
     """
 
     def __init__(self, ch: EndToEndChannel):
-        self.hint = _support_hint(ch.cdf, 1.0)
-        top = math.log(self.hint) + _TABLE_ABOVE
+        top = math.log(_support_hint(ch.cdf, 1.0)) + _TABLE_ABOVE
         room = _TABLE_MAX_CELLS - _TABLE_CELLS
         up = _widen(ch, top, 1.0, room)
         down = _TABLE_CELLS + _widen(ch, top - _TABLE_CELLS, -1.0, room - up)
         edges = top + np.arange(-down, up + 1.0)
         lo, hi = edges[:-1], edges[1:]
-        sf, pdf = _law_at(ch, panel_nodes(lo, hi))
+        cdf, pdf = _law_at(ch, panel_nodes(lo, hi))
         while True:
             nodes, half = panel_nodes(lo, hi), 0.5 * (hi - lo)
             bad = ((panel_sums(pdf * np.exp(nodes), half)[1] > _TABLE_TOL)
-                   | (panel_sums(sf, half)[1] > _TABLE_TOL))
+                   | (panel_sums(1.0 - cdf, half)[1] > _TABLE_TOL))
             if not bad.any() or lo.size + bad.sum() > _TABLE_MAX_CELLS:
                 break
             mid = 0.5 * (lo[bad] + hi[bad])
             new_lo = np.concatenate([lo[bad], mid])
             new_hi = np.concatenate([mid, hi[bad]])
-            new_sf, new_pdf = _law_at(ch, panel_nodes(new_lo, new_hi))
+            new_cdf, new_pdf = _law_at(ch, panel_nodes(new_lo, new_hi))
             order = np.argsort(np.concatenate([lo[~bad], new_lo]))
             lo = np.concatenate([lo[~bad], new_lo])[order]
             hi = np.concatenate([hi[~bad], new_hi])[order]
-            sf = np.concatenate([sf[~bad], new_sf])[order]
+            cdf = np.concatenate([cdf[~bad], new_cdf])[order]
             pdf = np.concatenate([pdf[~bad], new_pdf])[order]
         self.edges = np.append(lo, hi[-1])
         self.nodes, self.half = nodes, half
-        self.sf, self.pdf = sf, pdf
-        cdf = np.clip(_batched(ch.cdf, np.exp(self.edges)), 0.0, 1.0)
-        self.low_cdf, self.top_sf = float(cdf[0]), float(1.0 - cdf[-1])
+        self.cdf, self.pdf = cdf, pdf
+        edge_cdf = np.clip(_batched(ch.cdf, np.exp(self.edges)), 0.0, 1.0)
+        self.edge_sf = 1.0 - edge_cdf
+        self.low_cdf, self.top_sf = float(edge_cdf[0]), float(self.edge_sf[-1])
         self.top_inv = self.top_sf * math.exp(-self.edges[-1])
-        self.edge_sf = 1.0 - cdf
         self.mass = panel_sums(pdf * np.exp(nodes), half)
         self.inv = panel_sums(pdf, half)
         # integrals of f over the three lowest unit spans of u, each a
@@ -267,7 +267,8 @@ class _Table:
         k = int(np.searchsorted(self.edges, u, side="right")) - 1
         nodes = panel_nodes(np.array([u]), self.edges[k + 1:k + 2])
         half = 0.5 * (self.edges[k + 1:k + 2] - u)
-        sf, f = _law_at(ch, np.append(nodes, u))
+        cdf, f = _law_at(ch, np.append(nodes, u))
+        sf = 1.0 - cdf
         sf_nodes, f_nodes = sf[None, :-1], f[None, :-1]
         mass = _plus(_summed(panel_sums(f_nodes * np.exp(nodes), half)),
                      _summed(tuple(v[k + 1:] for v in self.mass)))
@@ -329,12 +330,12 @@ def _widen(ch: EndToEndChannel, edge: float, step: float,
 
 
 def _law_at(ch: EndToEndChannel, u: np.ndarray):
-    """S = 1 - F clipped to [0, 1] and f clipped to >= 0, of ``ch`` at
-    x = e^u, shaped like ``u``."""
+    """F clipped to [0, 1] and f clipped to >= 0, of ``ch`` at x = e^u,
+    shaped like ``u``."""
     x = np.exp(u).ravel()
-    sf = np.clip(1.0 - _batched(ch.cdf, x), 0.0, 1.0)
+    cdf = np.clip(_batched(ch.cdf, x), 0.0, 1.0)
     pdf = np.maximum(_batched(ch.pdf, x), 0.0)
-    return sf.reshape(u.shape), pdf.reshape(u.shape)
+    return cdf.reshape(u.shape), pdf.reshape(u.shape)
 
 
 def _power_tail(o0: float, r: float, d: float) -> tuple[float, float]:
@@ -396,16 +397,21 @@ def _sf_integral(sf: np.ndarray, kernel: np.ndarray,
     return val, err + _EPS * noise
 
 
+def _kernel(tab: _Table, m: float, a: float) -> np.ndarray:
+    """The by-parts kernel of E[(1+g)^-a], g = m X, over u = ln x at the
+    table's nodes: k = e^w (1 + e^w)^(-a-1), w = ln(m x)."""
+    w = tab.nodes + math.log(m)
+    return np.exp(w - (a + 1.0) * np.logaddexp(0.0, w))
+
+
 def _survival_form(tab: _Table, m: float, a: float) -> tuple[float, float]:
     """Integral over (0, inf) of (1-F(g)) (1+g)^(-a-1) dg, g = m X, and
-    its error: over u = ln x of S(e^u) e^w (1 + e^w)^(-a-1), w = ln(m x),
-    on the unit-law table.  Below it S is 1, closing the integral with
+    its error: over u = ln x of S k (``_kernel``) on the unit-law table,
+    S read as 1 - F.  Below it S is 1, closing the integral with
     (1 - (1 + m e^u_lo)^-a)/a, ln(1 + m e^u_lo) at a = 0, and F(e^u_lo)
     times that closure is charged; above it S is 0, and S(e^u_top) times
     the kernel at u_top is charged (see ``_Table``)."""
-    w = tab.nodes + math.log(m)  # m x = e^w
-    tail, err = _sf_integral(
-        tab.sf, np.exp(w - (a + 1.0) * np.logaddexp(0.0, w)), tab.half)
+    tail, err = _sf_integral(1.0 - tab.cdf, _kernel(tab, m, a), tab.half)
     soft_lo = float(np.logaddexp(0.0, tab.edges[0] + math.log(m)))
     closure = -math.expm1(-a * soft_lo) / a if a else soft_lo
     w_top = tab.edges[-1] + math.log(m)
@@ -436,43 +442,33 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
               prelog: PrelogFactor | float = PrelogFactor()) -> PolicyResult:
     """Largest constant arrival rate under a delay-QoS exponent.
 
-    capacity = -(1/d) * ln E[(1+g)^(-d*prelog/ln 2)] with d = qos_delta.
-    The natural log makes the d -> 0 limit recover ``ora`` exactly.
-    Both forms below are integrals over the unit-law table, with
-    w = ln(m x); below the table the density form closes the law with
-    the mass F(e^u_lo), and above it each form is charged S at the top
-    edge times its kernel there (see ``_Table``).
+    capacity = -(1/d) ln E[(1+g)^-a], d = qos_delta, a = d*prelog/ln 2.
+    E by parts on the unit-law table, one kernel (``_kernel``) summed
+    against S or against F: 1 - a*int S (1+g)^(-a-1) dg
+    (``_survival_form``) while a times that integral is at most 1/2,
+    through log1p, which keeps its digits down to the d -> 0 limit,
+    ``ora``; past that it would cancel, and a*int F (1+g)^(-a-1) dg is
+    taken.
     """
     pl = _prelog(prelog)
     d = params.qos_delta
     a = d * pl / LN2
     tab, m = _unit_table(ch)
-    if min(a, a * (tab.hint * m)) <= _EFFECTIVE_PARTS_LIMIT:
-        # Density-form quadrature noise on the moment is amplified by
-        # 1/d in the capacity; the by-parts form E = 1 - a*int (1-F) *
-        # (1+g)^(-a-1) dg enters only through a, so it stays accurate
-        # down to the d -> 0 limit.  It does the same when the channel
-        # barely reaches past 0 (low SNR), where 1 - E is small too.
-        tail, err = _survival_form(tab, m, a)
-        val, err = 1.0 - a * tail, a * err
+    tail, err = _survival_form(tab, m, a)
+    if a * tail <= 0.5:
+        # log1p keeps the digits of a*tail that forming 1 - a*tail drops
+        val, err, log_val = 1.0 - a * tail, a * err, math.log1p(-a * tail)
     else:
-        tail = None
-        soft = np.logaddexp(0.0, tab.nodes + math.log(m))  # ln(1 + m x)
+        # above the table F is 1, adding (1 + m e^u_top)^-a, with S there
+        # charged; below it F <= F(e^u_lo), charged 1 - (1 + m e^u_lo)^-a
+        val, err = tab.integral(tab.cdf * _kernel(tab, m, a))
         soft_lo, soft_top = np.logaddexp(0.0, tab.edges[[0, -1]] + math.log(m))
-        val, err = tab.integral(tab.pdf * np.exp(tab.nodes - a * soft))
-        # the mass F(e^u_lo) below the table sees a kernel in
-        # [(1 + m e^u_lo)^-a, 1]: take the midpoint, charge half the span
-        low = math.exp(-a * soft_lo)
-        top = tab.top_sf * math.exp(-a * soft_top)
-        val, err = _checked(val + 0.5 * tab.low_cdf * (1.0 + low),
-                            err + 0.5 * tab.low_cdf * (1.0 - low) + top)
-    if val <= 0.0:
-        raise RelayCapError(
-            "effective-capacity moment integral collapsed to zero; "
-            "the channel density is numerically empty"
-        )
-    # log1p keeps the digits of a*tail that forming 1 - a*tail drops
-    log_val = math.log(val) if tail is None else math.log1p(-a * tail)
+        top = math.exp(-a * soft_top)
+        val, err = _checked(a * val + top, a * err + tab.top_sf * top
+                            - tab.low_cdf * math.expm1(-a * soft_lo))
+        if val <= 0.0:  # at an extreme qos_delta
+            raise RelayCapError("effective-capacity moment underflowed to 0")
+        log_val = math.log(val)
     cap = max(-log_val / d, 0.0)
     return PolicyResult(
         capacity=cap,
@@ -696,7 +692,7 @@ def _opra(ch: EndToEndChannel, pl: float) -> PolicyResult:
     # integral over u > ln y of S, with the table's charge above it
     ones = np.ones_like(tab.nodes)
     val, e_sf = _plus(_sf_integral(above.sf, ones[:1], above.half),
-                      _sf_integral(tab.sf[start:], ones[start:],
+                      _sf_integral(1.0 - tab.cdf[start:], ones[start:],
                                    tab.half[start:]))
     e_sf += tab.top_sf
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import capacity
 from .capacity import PolicySpec
-from .errors import ConfigError, RelayCapError
+from .errors import ConfigError, InsufficientSamples, RelayCapError
 from .fading import FadingModel, model_from_config
 from .montecarlo import PolicyRequest, SimConfig, SimPoint, simulate
 from .topology import (
@@ -306,7 +306,7 @@ def mc_from_config(cfg: dict, args) -> tuple[SimConfig, list[float] | None]:
         snr = _snr_points(_finite_numbers(snr, "mc.snr_db"), "mc.snr_db")
     try:
         return SimConfig(samples=samples, seed=seed), snr
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InsufficientSamples) as exc:
         raise ConfigError(f"bad mc settings: {exc}") from exc
 
 

@@ -22,6 +22,7 @@ from relaycap.capacity import (
 )
 from relaycap.errors import RelayCapError, RootNotBracketed
 from relaycap.fading import Exponential, Gamma, GammaGamma
+from relaycap.montecarlo import PolicyRequest, SimConfig, SimPoint, simulate
 from relaycap.topology import (
     AllActive,
     EndToEndChannel,
@@ -326,6 +327,32 @@ class TestEffective:
             for d in (0.01, 0.1, 1.0, 10.0)
         ]
         assert caps == sorted(caps, reverse=True)
+
+
+class TestEffectiveOnSmallExponentLaws:
+    """One GammaGamma hop whose CDF falls like g^P near 0 with P = 0.25
+    or 0.3.  Its unit-law table reaches far below where the contour
+    density is accurate (about e^-35), so effective must not read the
+    density there: it printed 0 with a 1e-14 error on both laws."""
+
+    @pytest.mark.parametrize("hop,snrs", [
+        (GammaGamma(2.0, 1.5, 0.5), (0.0, 20.0, 40.0)),
+        (GammaGamma(4.0, 0.6, 0.8, detection_order=2), (0.0,)),
+    ], ids=["P0.25", "P0.3"])
+    def test_within_monte_carlo_error(self, hop, snrs):
+        top = Serial(hops=(hop,))
+        ch = end_to_end(top)
+        req = PolicyRequest("effective", qos_delta=1.0)
+        means = [10.0 ** (db / 10.0) for db in snrs]
+        reports = simulate(top, SimConfig(samples=100_000, seed=7), [1.0],
+                           [SimPoint(m, (req,)) for m in means])
+        for mean, rep in zip(means, reports):
+            scaled = ch.scaled(mean)
+            got = capacity.effective(scaled, EffectiveCapacityParams(1.0))
+            est, se = rep.capacity_estimates[req.label]
+            assert got.capacity > 0.0
+            assert got.capacity <= capacity.ora(scaled).capacity
+            assert abs(got.capacity - est) <= 4.0 * se, (mean, est, se)
 
 
 class TestPolicySpec:

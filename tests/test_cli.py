@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, golden values, byte stability."""
 
+import importlib.util
 import json
 import math
 import os
@@ -205,6 +206,25 @@ class TestConfigValues:
                     write_config(tmp_path, cfg)]) == 1
         assert f"config error: mc.{key} must be an integer" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--samples", "10"],
+        ["outage-sweep", "--validate", "--samples", "10"],
+        ["validate", "--samples", "999"],
+    ])
+    def test_too_few_samples_is_a_config_error(self, argv, tmp_path, capsys):
+        # the --help epilog states the bound as a config rule
+        assert run(argv + ["--config", write_config(tmp_path, TINY)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: bad mc settings: need at least 1000 samples" \
+            in err
+        assert "numerical failure" not in err
+
+    def test_too_few_samples_in_the_config(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["mc"]["samples"] = 10
+        assert run(["validate", "--config", write_config(tmp_path, cfg)]) == 1
+        assert "need at least 1000 samples" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family", [["gamma"], {"name": "gamma"}],
                              ids=["list", "mapping"])
@@ -784,6 +804,40 @@ class TestShippedOutputs:
             allowed = (mass_tol + 1e-8 * abs(p_ref)
                        + _print_rounding(p_new) + _print_rounding(p_ref))
             assert abs(p_new - p_ref) <= allowed, (new, ref)
+
+
+def _bench_module(name: str):
+    """A module of bench/, loaded from its file (and registered, which
+    its dataclasses need)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkOutputs:
+    """Each benchmark workload's command, run in-process at the default
+    seed, passes the benchmark's own output check (bench/check.py)
+    against its recording in bench/reference/, with no failed
+    operation: a change that moves a number out of that check's
+    tolerance fails here, not only in a benchmark run."""
+
+    workloads = _bench_module("workloads")
+    check = _bench_module("check")
+
+    @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+    def test_no_failed_operations(self, name, capsys):
+        workload = self.workloads.WORKLOADS[name]
+        code = run(workload.argv(self.workloads.DEFAULT_SEED))
+        out = capsys.readouterr().out
+        reference = Path(__file__).resolve().parents[1] / "bench" / \
+            "reference" / f"{name}.txt"
+        got = self.check.check(workload, out, code,
+                               reference.read_text(encoding="utf-8"))
+        assert got.attempted > 0
+        assert got.failed == 0, got.problems
 
 
 def _print_rounding(v: float) -> float:
