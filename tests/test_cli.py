@@ -83,6 +83,7 @@ MALAGA_HOP = {"family": "malaga", "alpha": 2.296, "beta": 1.822,
               "series_terms": 320}
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -806,11 +807,18 @@ class TestShippedOutputs:
             assert abs(p_new - p_ref) <= allowed, (new, ref)
 
 
+def _print_rounding(v: float) -> float:
+    """Half a unit in the 9th significant digit of a printed value."""
+    if v == 0.0:
+        return 0.0
+    return 0.5 * 10.0 ** (math.floor(math.log10(abs(v))) - 8)
+
+
 def _bench_module(name: str):
     """A module of bench/, loaded from its file (and registered, which
     its dataclasses need)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
@@ -832,16 +840,8 @@ class TestBenchmarkOutputs:
         workload = self.workloads.WORKLOADS[name]
         code = run(workload.argv(self.workloads.DEFAULT_SEED))
         out = capsys.readouterr().out
-        reference = Path(__file__).resolve().parents[1] / "bench" / \
-            "reference" / f"{name}.txt"
+        reference = BENCH / "reference" / f"{name}.txt"
         got = self.check.check(workload, out, code,
                                reference.read_text(encoding="utf-8"))
         assert got.attempted > 0
         assert got.failed == 0, got.problems
-
-
-def _print_rounding(v: float) -> float:
-    """Half a unit in the 9th significant digit of a printed value."""
-    if v == 0.0:
-        return 0.0
-    return 0.5 * 10.0 ** (math.floor(math.log10(abs(v))) - 8)
