@@ -30,7 +30,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergentIntegral, RelayCapError, RootNotBracketed
+from .errors import (
+    DivergentIntegral, RelayCapError, RootNotBracketed, check_number,
+)
 # integrate stays bound here for bench/selftest.py's tracer checks
 from .quadrature import integrate, panel_nodes, panel_sums  # noqa: F401
 from .topology import EndToEndChannel, _support_hint
@@ -49,32 +51,6 @@ _TABLE_TOL = 1e-12
 _TABLE_MAX_CELLS = 512
 _LAW_BATCH = 128
 _SF_DIGITS = 1e-4
-
-
-@dataclass(frozen=True)
-class PrelogFactor:
-    """Multiplexing pre-log of the capacity formulas.
-
-    The default 1/2 charges the two-phase relaying protocol; 1/(N+1)
-    time-division accounting can be configured instead.
-    """
-
-    value: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.value <= 1.0:
-            raise ValueError(f"prelog must lie in (0, 1], got {self.value}")
-
-
-@dataclass(frozen=True)
-class EffectiveCapacityParams:
-    """Statistical delay constraint: qos_delta = exponent * B * T_frame."""
-
-    qos_delta: float
-
-    def __post_init__(self):
-        if not self.qos_delta > 0.0:
-            raise ValueError(f"qos_delta must be positive, got {self.qos_delta}")
 
 
 @dataclass(frozen=True)
@@ -101,10 +77,9 @@ class PolicyResult:
             raise ValueError(f"capacity must be >= 0, got {self.capacity}")
 
 
-def _prelog(prelog: PrelogFactor | float) -> float:
-    if isinstance(prelog, PrelogFactor):
-        return prelog.value
-    return PrelogFactor(float(prelog)).value
+def _prelog(prelog: float) -> float:
+    """The pre-log: 1/2 (the default) charges the two-phase protocol."""
+    return check_number("prelog", prelog, 0.0, 1.0, ends="(]")
 
 
 def _fold_mass(err: float, ch: EndToEndChannel, capacity: float) -> float:
@@ -420,7 +395,7 @@ def _survival_form(tab: _Table, m: float, a: float) -> tuple[float, float]:
 
 
 def ora(ch: EndToEndChannel,
-        prelog: PrelogFactor | float = PrelogFactor()) -> PolicyResult:
+        prelog: float = 0.5) -> PolicyResult:
     """Constant transmit power, rate tracking the channel.
 
     capacity = (prelog/ln 2) * integral over (0, inf) of (1-F(g))/(1+g),
@@ -438,11 +413,12 @@ def ora(ch: EndToEndChannel,
     )
 
 
-def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
-              prelog: PrelogFactor | float = PrelogFactor()) -> PolicyResult:
+def effective(ch: EndToEndChannel, qos_delta: float,
+              prelog: float = 0.5) -> PolicyResult:
     """Largest constant arrival rate under a delay-QoS exponent.
 
-    capacity = -(1/d) ln E[(1+g)^-a], d = qos_delta, a = d*prelog/ln 2.
+    capacity = -(1/d) ln E[(1+g)^-a], d = qos_delta (the delay-QoS
+    exponent times bandwidth times frame time), a = d*prelog/ln 2.
     E by parts on the unit-law table, one kernel (``_kernel``) summed
     against S or against F: 1 - a*int S (1+g)^(-a-1) dg
     (``_survival_form``) while a times that integral is at most 1/2,
@@ -451,7 +427,7 @@ def effective(ch: EndToEndChannel, params: EffectiveCapacityParams,
     taken.
     """
     pl = _prelog(prelog)
-    d = params.qos_delta
+    d = check_number("qos_delta", qos_delta)
     a = d * pl / LN2
     tab, m = _unit_table(ch)
     tail, err = _survival_form(tab, m, a)
@@ -500,7 +476,7 @@ def _inverse_moment(ch: EndToEndChannel) -> tuple[float, float]:
 
 
 def cifr(ch: EndToEndChannel,
-         prelog: PrelogFactor | float = PrelogFactor()) -> PolicyResult:
+         prelog: float = 0.5) -> PolicyResult:
     """Channel inversion with fixed rate.
 
     capacity = (prelog/ln 2) * ln(1 + 1/E[1/g]).  A divergent inverse
@@ -529,7 +505,7 @@ def cifr(ch: EndToEndChannel,
 
 
 def tcifr(ch: EndToEndChannel, cutoff: float | None,
-          prelog: PrelogFactor | float = PrelogFactor()) -> PolicyResult:
+          prelog: float = 0.5) -> PolicyResult:
     """Truncated channel inversion: suspend below ``cutoff``.
 
     capacity = (prelog/ln 2) * ln(1 + 1/T) * (1 - F(cutoff)) with
@@ -542,8 +518,7 @@ def tcifr(ch: EndToEndChannel, cutoff: float | None,
         cut = _cutoff(ch)
         return _tcifr(ch, _prelog(prelog), cut.solve.root, cut.above,
                       cut.h_err)
-    if not cutoff > 0.0:
-        raise ValueError(f"tcifr cutoff must be positive, got {cutoff}")
+    check_number("cutoff", cutoff)
     tab, m = _unit_table(ch)
     return _tcifr(ch, _prelog(prelog), cutoff,
                   tab.above(ch.unit or ch, cutoff / m), 0.0)
@@ -732,7 +707,7 @@ def _opra(ch: EndToEndChannel, pl: float) -> PolicyResult:
 
 
 def opra(ch: EndToEndChannel,
-         prelog: PrelogFactor | float = PrelogFactor()) -> PolicyResult:
+         prelog: float = 0.5) -> PolicyResult:
     """Joint power and rate adaptation above a solved cutoff.
 
     capacity = (prelog/ln 2) * integral_cutoff^inf (1-F(g))/g dg; the
@@ -761,10 +736,10 @@ def _check_policy_rules(name: str, qos_delta: float | None,
     if name == "effective":
         if qos_delta is None:
             raise ValueError("effective capacity needs qos_delta")
-        EffectiveCapacityParams(qos_delta)
+        check_number("qos_delta", qos_delta)
     elif qos_delta is not None:
         raise ValueError(f"qos_delta does not apply to {name}")
-    PrelogFactor(prelog)
+    _prelog(prelog)
 
 
 @dataclass(frozen=True)
@@ -786,8 +761,7 @@ class PolicySpec:
         if self.cutoff is not None:
             if self.name != "tcifr":
                 raise ValueError(f"cutoff does not apply to {self.name}")
-            if not self.cutoff > 0.0:
-                raise ValueError("tcifr cutoff must be positive")
+            check_number("cutoff", self.cutoff)
 
     @property
     def label(self) -> str:
@@ -805,16 +779,15 @@ class SweepRow:
 
 
 def _eval_policy(ch: EndToEndChannel, spec: PolicySpec) -> PolicyResult:
-    pl = PrelogFactor(spec.prelog)
     if spec.name == "ora":
-        return ora(ch, pl)
+        return ora(ch, spec.prelog)
     if spec.name == "effective":
-        return effective(ch, EffectiveCapacityParams(spec.qos_delta), pl)
+        return effective(ch, spec.qos_delta, spec.prelog)
     if spec.name == "cifr":
-        return cifr(ch, pl)
+        return cifr(ch, spec.prelog)
     if spec.name == "tcifr":
-        return tcifr(ch, spec.cutoff, pl)
-    return _opra(ch, pl.value)
+        return tcifr(ch, spec.cutoff, spec.prelog)
+    return _opra(ch, spec.prelog)
 
 
 def evaluate(ch: EndToEndChannel, spec: PolicySpec) -> PolicyResult:

@@ -45,12 +45,14 @@ config file reference (JSON, unknown keys are errors):
     formula          selective only: "exact" (default) or
                      "marginal_product" (a known-inconsistent variant
                      kept for comparison studies)
-    grid_points      all_active only: convolution grid size
+    grid_points      all_active only: convolution grid size, an
+                     integer in [16, 1048576]
     mass_tol         all_active only: tolerated probability-mass loss
+                     in (0, 1)
   policies           list of mappings for capacity commands:
     name             "ora" | "opra" | "cifr" | "tcifr" | "effective"
-    qos_delta        effective only: delay-QoS exponent product
-    cutoff           tcifr only: fixed threshold; defaults to the
+    qos_delta        effective only: delay-QoS exponent product > 0
+    cutoff           tcifr only: fixed threshold > 0; defaults to the
                      solved opra cutoff of the same sweep point
     prelog           optional pre-log factor in (0, 1], default 0.5
   snr_grid_db        list of dB values, or {"start","stop","step"};
@@ -70,7 +72,8 @@ hop model mappings carry "family" plus the family's parameters, e.g.
 {"family": "gamma_gamma", "alpha": 2.9, "beta": 2.5, "xi": 1.1}.
 Families: exponential, gamma, weibull, generalized_gamma,
 weibull_gamma, gamma_gamma, double_generalized_gamma, malaga,
-generic_h.  Per-hop mean SNR is set by the sweep grid as
+generic_h.  Malaga's series_terms is an integer in [1, 30000].
+Per-hop mean SNR is set by the sweep grid as
 10^(snr_db/10), uniformly across hops; a hop mapping that sets its
 family's mean (mean_snr, mean_power or mean_irradiance) is an error.
 """
@@ -196,13 +199,10 @@ def topology_from_config(block: dict) -> Topology:
         if kind == "selective":
             return Selective(branches=branches,
                              formula=block.get("formula", "exact"))
-        kwargs = {}
-        if "grid_points" in block:
-            kwargs["grid_points"] = int(block["grid_points"])
-        if "mass_tol" in block:
-            kwargs["mass_tol"] = float(block["mass_tol"])
+        kwargs = {k: block[k] for k in ("grid_points", "mass_tol")
+                  if k in block}
         return AllActive(branches=branches, **kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -218,11 +218,7 @@ def policies_from_config(cfg: dict) -> list[PolicySpec]:
             raise ConfigError(f"policies[{i}] needs a 'name'")
         try:
             specs.append(PolicySpec(**block))
-        except TypeError as exc:
-            raise ConfigError(
-                f"policies[{i}]: qos_delta, cutoff and prelog must be numbers"
-            ) from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"policies[{i}]: {exc}") from exc
     return specs
 
@@ -658,7 +654,8 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--seed", type=int, help="override mc.seed")
         p.add_argument("--samples", type=int, help="override mc.samples")
         p.add_argument("--jobs", type=_positive_int,
-                       help="worker threads for Monte Carlo batches (>= 1)")
+                       help="worker threads for Monte Carlo batches (>= 1; "
+                       "at most one per batch and per CPU)")
     if command == "outage-sweep":
         p.add_argument("--validate", action="store_true",
                        help="append Monte Carlo columns")

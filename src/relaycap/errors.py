@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the range rule of every numeric parameter."""
+
+import math
+import numbers
 
 
 class RelayCapError(Exception):
@@ -59,3 +62,25 @@ class UnsupportedHForm(RelayCapError):
 
 class ConfigError(RelayCapError):
     """Experiment configuration is malformed."""
+
+
+def check_number(name: str, value, lo: float = 0.0, hi: float = math.inf,
+                 ends: str = "()", integer: bool = False):
+    """``value`` if it is a finite number (an integer where ``integer``),
+    not a bool, in the range from ``lo`` to ``hi`` whose ``ends`` are
+    bracketed as in interval notation; else a ``ValueError`` reading
+    "<name> must be ..., got <value!r>"."""
+    try:
+        ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
+              and not isinstance(value, bool) and math.isfinite(value)
+              and (lo <= value if ends[0] == "[" else lo < value)
+              and (value <= hi if ends[1] == "]" else value < hi))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        rule = ("a positive finite number"
+                if (lo, hi, ends, integer) == (0.0, math.inf, "()", False)
+                else f"{kind} in {ends[0]}{lo:.15g}, {hi:.15g}{ends[1]}")
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value

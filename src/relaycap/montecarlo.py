@@ -16,13 +16,14 @@ common random numbers.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .capacity import PolicySpec, _check_policy_rules
-from .errors import InsufficientSamples
+from .errors import InsufficientSamples, check_number
 from .topology import Topology
 
 LN2 = math.log(2.0)
@@ -69,8 +70,9 @@ class PolicyRequest:
     def __post_init__(self):
         _check_policy_rules(self.name, self.qos_delta, self.prelog)
         if self.name in ("opra", "tcifr"):
-            if self.cutoff is None or not self.cutoff > 0.0:
+            if self.cutoff is None:
                 raise ValueError(f"{self.name} needs a positive cutoff")
+            check_number("cutoff", self.cutoff)
         elif self.cutoff is not None:
             raise ValueError(f"cutoff does not apply to {self.name}")
 
@@ -187,9 +189,7 @@ class SimPoint:
     policies: tuple[PolicyRequest, ...] = ()
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be positive and finite, "
-                             f"got {self.scale}")
+        check_number("scale", self.scale)
         object.__setattr__(self, "policies", tuple(self.policies))
 
 
@@ -210,8 +210,9 @@ def simulate(
     scale, which is the topology with every hop mean multiplied by that
     scale: min, max and sum commute with a positive factor, and every
     catalog law is a scale family in its mean.  Batches may run on
-    ``jobs`` threads; partial sums are merged in batch order, so the
-    result is identical to the sequential run.
+    at most ``jobs`` threads, one per batch and CPU available, each
+    holding its batch's draws; partial sums are merged in batch order,
+    so the result is identical to the sequential run.
     """
     taus_arr = np.asarray([float(t) for t in taus], dtype=float)
     if np.any(np.diff(taus_arr) < 0.0):
@@ -238,9 +239,10 @@ def simulate(
                              [_policy_batch(r, g) for r in point.policies]))
         return partials
 
-    if jobs is not None and jobs > 1:
+    workers = min(jobs or 1, len(sizes), len(os.sched_getaffinity(0)))
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(run_batch, range(len(sizes))))
     else:
         batches = [run_batch(b) for b in range(len(sizes))]

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridResolutionInsufficient
+from .errors import GridResolutionInsufficient, check_number
 from .fading import FadingModel, _apply
 from .quadrature import quantile_search
 
@@ -243,11 +243,16 @@ class AllActive(_Branched):
     grid_points: int = 1 << 14
     mass_tol: float = 1e-4
 
+    # fig2_malaga's grid builds in about 2 s and 220 MiB at 2**20 bins
+    # on 2 cores; four times the bins took 10 s and 750 MiB
+    MAX_GRID_POINTS = 1 << 20
+
     def __post_init__(self):
         if not self.branches:
             raise ValueError("an all-active system needs at least one branch")
-        if self.grid_points < 16:
-            raise ValueError("grid_points too small to resolve a density")
+        check_number("grid_points", self.grid_points, 16,
+                     self.MAX_GRID_POINTS, ends="[]", integer=True)
+        check_number("mass_tol", self.mass_tol, 0.0, 1.0)
         object.__setattr__(self, "branches", _intern_pairs(self.branches))
 
     def combine(self, draws: list[np.ndarray]) -> np.ndarray:

@@ -14,9 +14,7 @@ import pytest
 from relaycap import capacity, topology
 from relaycap.capacity import (
     CutoffSolve,
-    EffectiveCapacityParams,
     PolicySpec,
-    PrelogFactor,
     evaluate,
     sweep,
 )
@@ -89,7 +87,7 @@ class TestOra:
 
     def test_prelog_is_a_plain_factor(self, exp1):
         half = capacity.ora(exp1, prelog=0.5)
-        full = capacity.ora(exp1, prelog=PrelogFactor(1.0))
+        full = capacity.ora(exp1, prelog=1.0)
         assert full.capacity == pytest.approx(2.0 * half.capacity, rel=1e-12)
 
 
@@ -294,12 +292,12 @@ class TestTcifr:
 class TestEffective:
     @pytest.mark.parametrize("delta", sorted(EFFECTIVE_EXP1))
     def test_exponential(self, exp1, delta):
-        r = capacity.effective(exp1, EffectiveCapacityParams(delta))
+        r = capacity.effective(exp1, delta)
         assert r.capacity == pytest.approx(EFFECTIVE_EXP1[delta], abs=1e-9)
 
     def test_small_delta_recovers_ora(self, gamma2):
         ora = capacity.ora(gamma2)
-        eff = capacity.effective(gamma2, EffectiveCapacityParams(1e-4))
+        eff = capacity.effective(gamma2, 1e-4)
         assert abs(eff.capacity - ora.capacity) < 1e-3
         assert eff.capacity < ora.capacity  # QoS can only cost capacity
 
@@ -308,7 +306,7 @@ class TestEffective:
         # -log(1 - a*tail) loses the digits of a*tail that the difference
         # rounds away, and 1/d amplifies the loss; log1p keeps them
         ora = capacity.ora(exp1).capacity
-        eff = capacity.effective(exp1, EffectiveCapacityParams(delta))
+        eff = capacity.effective(exp1, delta)
         assert 0.0 <= ora - eff.capacity <= 1e-6 * ora
 
     @pytest.mark.parametrize("snr_db", sorted(EFFECTIVE_EXP_LOW_SNR))
@@ -317,13 +315,13 @@ class TestEffective:
         # by-parts form keeps its relative digits
         ch = exp1.scaled(10.0 ** (snr_db / 10.0))
         want = EFFECTIVE_EXP_LOW_SNR[snr_db]
-        eff = capacity.effective(ch, EffectiveCapacityParams(1.0))
+        eff = capacity.effective(ch, 1.0)
         assert eff.capacity == pytest.approx(want, rel=1e-12)
         assert eff.capacity <= capacity.ora(ch).capacity
 
     def test_monotone_in_delta(self, exp1):
         caps = [
-            capacity.effective(exp1, EffectiveCapacityParams(d)).capacity
+            capacity.effective(exp1, d).capacity
             for d in (0.01, 0.1, 1.0, 10.0)
         ]
         assert caps == sorted(caps, reverse=True)
@@ -348,7 +346,7 @@ class TestEffectiveOnSmallExponentLaws:
                            [SimPoint(m, (req,)) for m in means])
         for mean, rep in zip(means, reports):
             scaled = ch.scaled(mean)
-            got = capacity.effective(scaled, EffectiveCapacityParams(1.0))
+            got = capacity.effective(scaled, 1.0)
             est, se = rep.capacity_estimates[req.label]
             assert got.capacity > 0.0
             assert got.capacity <= capacity.ora(scaled).capacity
@@ -379,8 +377,8 @@ class TestPolicySpec:
     def test_prelog_bounds(self):
         with pytest.raises(ValueError, match="prelog"):
             PolicySpec(name="ora", prelog=1.5)
-        with pytest.raises(ValueError):
-            PrelogFactor(0.0)
+        with pytest.raises(ValueError, match="prelog"):
+            capacity.ora(end_to_end(Serial((Exponential(1.0),))), prelog=0.0)
 
     def test_labels(self):
         assert PolicySpec(name="ora").label == "ora"
@@ -493,6 +491,51 @@ class TestOrdering:
                                                 + cifr.quad_error)
 
 
+class TestShippedOrderings:
+    """Orderings that need no oracle, on each shipped config's law from
+    -100 to 100 dB, each within the two cells' summed quad_error:
+    opra >= ora (Goldsmith & Varaiya) and opra >= tcifr; ora >=
+    effective[d] (Jensen), effective falling in d and positive wherever
+    ora is; ora, opra, cifr and effective nondecreasing in SNR."""
+
+    DELTAS = (0.1, 1.0, 10.0)
+    GRID = [float(db) for db in range(-100, 101, 10)]
+
+    @pytest.mark.parametrize("config", ["fig1_serial2", "fig1_selective3",
+                                        "fig2_malaga", "fig3_dgg"])
+    def test_orderings_hold(self, config):
+        from relaycap import cli
+
+        topo = cli.topology_from_config(cli.load_config(config)["topology"])
+        effs = [PolicySpec("effective", qos_delta=d) for d in self.DELTAS]
+        rows = sweep(cli._channel_factory(topo),
+                     ["ora", "opra", "cifr", "tcifr", *effs], self.GRID)
+        assert [r.error for r in rows if r.error] == []
+        cell = {(r.snr_db, r.policy): r.result for r in rows}
+        bad = []
+
+        def at_least(hi, lo, where):
+            if hi.capacity < lo.capacity - (hi.quad_error + lo.quad_error):
+                bad.append((where, hi.capacity, lo.capacity))
+
+        for snr in self.GRID:
+            ora, opra = cell[snr, "ora"], cell[snr, "opra"]
+            at_least(opra, ora, (snr, "opra >= ora"))
+            at_least(opra, cell[snr, "tcifr"], (snr, "opra >= tcifr"))
+            eff = [cell[snr, s.label] for s in effs]
+            for s, e in zip(effs, eff):
+                at_least(ora, e, (snr, f"ora >= {s.label}"))
+                if ora.capacity > 0.0 and not e.capacity > 0.0:
+                    bad.append(((snr, f"{s.label} > 0"), e.capacity, 0.0))
+            for s, e, e_next in zip(effs, eff, eff[1:]):
+                at_least(e, e_next, (snr, f"{s.label} falls in delta"))
+        for name in ["ora", "opra", "cifr"] + [s.label for s in effs]:
+            for lo, hi in zip(self.GRID, self.GRID[1:]):
+                at_least(cell[hi, name], cell[lo, name],
+                         (hi, f"{name} rises from {lo:g} dB"))
+        assert bad == []
+
+
 class TestTableOracles:
     """Every table route against mpmath, from -100 to 150 dB.
 
@@ -560,7 +603,7 @@ class TestTableOracles:
 
         points = [0, 1 / m, 1, mp.inf] if m > 1 else [0, 1, 1 / m, mp.inf]
         want = -mp.log1p(-mp.quad(gap, points)) / delta
-        r = capacity.effective(ch, EffectiveCapacityParams(delta))
+        r = capacity.effective(ch, delta)
         self.within(r.capacity, want, r.quad_error)
 
     def test_opra_and_its_cross_check(self, case):
@@ -662,7 +705,7 @@ class TestSmallShapeWeibull:
         ch, k, c, _ = case
         a = 1 / (2 * mp.log(2))
         gap = self.over_ln_t(k, c, lambda mx: -mp.expm1(-a * mp.log1p(mx)))
-        r = capacity.effective(ch, EffectiveCapacityParams(1.0))
+        r = capacity.effective(ch, 1.0)
         assert abs(r.capacity - float(-mp.log1p(-gap))) <= r.quad_error
         assert r.quad_error < 1e-10
 

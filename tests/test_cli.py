@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relaycap import capacity, cli, topology
+from relaycap import capacity, cli, fading, topology
 from relaycap.errors import ConfigError, RelayCapError
 from relaycap.quadrature import quantile_search
 
@@ -337,6 +337,80 @@ class TestConfigValues:
         assert run(["validate", "--config", write_config(tmp_path, cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "'format'" in err
+
+
+# an integer beta ignores series_terms, so a value past the cap stays
+# cheap to build even where the cap is not checked
+MALAGA_INT_BETA = dict(MALAGA_HOP, beta=2.0)
+MAX_BINS = topology.AllActive.MAX_GRID_POINTS
+MAX_TERMS = fading.Malaga.MAX_SERIES_TERMS
+
+
+class TestNumericRules:
+    """Every numeric parameter is a finite number of its stated range
+    (an integer where it counts), never a boolean, at construction."""
+
+    @pytest.mark.parametrize("policy", [
+        {"name": "ora", "prelog": True},
+        {"name": "effective", "qos_delta": True},
+        {"name": "tcifr", "cutoff": True},
+        {"name": "effective", "qos_delta": math.inf},
+        {"name": "tcifr", "cutoff": math.inf},
+    ], ids=["prelog_true", "qos_delta_true", "cutoff_true", "qos_delta_inf",
+            "cutoff_inf"])
+    def test_policy_values(self, policy):
+        with pytest.raises(ConfigError, match=r"^policies\[0\]: "):
+            cli.policies_from_config({"policies": [policy]})
+
+    @pytest.mark.parametrize("key,value", [
+        ("grid_points", 4096.7), ("grid_points", "4096"),
+        ("grid_points", None), ("grid_points", MAX_BINS + 1),
+        ("mass_tol", True), ("mass_tol", math.nan), ("mass_tol", -1),
+        ("mass_tol", [1]),
+    ], ids=["bins_fraction", "bins_string", "bins_null", "bins_past_cap",
+            "tol_true", "tol_nan", "tol_negative", "tol_list"])
+    def test_all_active_values(self, key, value):
+        block = dict(ALLACTIVE["topology"], **{key: value})
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            cli.topology_from_config(block)
+
+    def test_largest_grid_is_accepted(self):
+        block = dict(ALLACTIVE["topology"], grid_points=MAX_BINS)
+        assert cli.topology_from_config(block).grid_points == MAX_BINS
+
+    @pytest.mark.parametrize("key,value", [
+        ("omega_prime", True), ("omega_prime", math.nan),
+        ("series_terms", True), ("series_terms", 40.5),
+        ("series_terms", MAX_TERMS + 1),
+    ], ids=["omega_true", "omega_nan", "terms_true", "terms_fraction",
+            "terms_past_cap"])
+    def test_malaga_values(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be "):
+            fading.model_from_config(dict(MALAGA_INT_BETA, **{key: value}))
+
+    @pytest.mark.parametrize("path,value", [
+        (("policies", 0, "cutoff"), True),
+        (("policies", 0, "qos_delta"), math.inf),
+        (("topology", "grid_points"), None),
+        (("topology", "mass_tol"), math.nan),
+        (("topology", "hop", "omega_prime"), math.nan),
+    ], ids=["cutoff_true", "qos_delta_inf", "bins_null", "tol_nan",
+            "omega_nan"])
+    def test_cli_exits_one(self, path, value, tmp_path, capsys):
+        cfg = json.loads(json.dumps(ALLACTIVE))
+        cfg["policies"] = [{"name": "tcifr", "cutoff": 1.0}
+                           if path[-1] == "cutoff" else
+                           {"name": "effective", "qos_delta": 1.0}]
+        cfg["topology"]["hop"] = dict(MALAGA_HOP)
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        assert run(["capacity-sweep", "--config",
+                    write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"{path[-1]} must be " in err and "Traceback" not in err
 
 
 class TestCapacitySweep:
@@ -685,6 +759,7 @@ class TestHelp:
                     "output", "format"):
             assert key in text, key
         assert f"at most {cli.MAX_GRID_POINTS} points" in text
+        assert f"[16, {MAX_BINS}]" in text and f"[1, {MAX_TERMS}]" in text
         limit = f"{cli.SNR_DB_LIMIT:g}"
         assert f"[-{limit}, {limit}] dB" in text
 

@@ -53,6 +53,38 @@ class TestDeterminism:
         par = simulate(serial_pair(), cfg, [0.5, 1.0], points, jobs=4)
         assert seq == par
 
+    @pytest.mark.parametrize("jobs,batches,cpus,workers", [
+        (1000, 3, 4, 3), (1000, 10, 4, 4), (2, 10, 4, 2), (1, 10, 4, None),
+        (8, 1, 4, None), (8, 10, 1, None),
+    ])
+    def test_workers_bounded_by_batches_and_cpus(self, monkeypatch, jobs,
+                                                 batches, cpus, workers):
+        # each worker holds its batch's draws, so no more are started
+        # than there are batches to run or CPUs to run them on
+        import concurrent.futures
+
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        cfg = SimConfig(samples=1000 * batches, seed=1, batch=1000)
+        simulate(serial_pair(), cfg, [1.0], jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+
     def test_different_seeds_differ(self):
         taus = [1.0]
         (a,) = simulate(serial_pair(), SimConfig(samples=10_000, seed=1), taus)
