@@ -23,7 +23,9 @@ import numpy as np
 
 from . import capacity
 from .capacity import PolicySpec
-from .errors import ConfigError, InsufficientSamples, RelayCapError
+from .errors import (
+    ConfigError, InsufficientSamples, RelayCapError, check_number,
+)
 from .fading import FadingModel, model_from_config
 from .montecarlo import PolicyRequest, SimConfig, SimPoint, simulate
 from .topology import (
@@ -67,6 +69,9 @@ config file reference (JSON, unknown keys are errors):
   output             optional {"path": ..., "format": "csv"|"json"};
                      --out/--format take precedence; validate writes
                      a text report and takes only "path"
+
+grid values, range ends, thresholds, counts and every other number
+reject booleans and strings ("5", true); counts must be integers.
 
 hop model mappings carry "family" plus the family's parameters, e.g.
 {"family": "gamma_gamma", "alpha": 2.9, "beta": 2.5, "xi": 1.1}.
@@ -165,10 +170,7 @@ def topology_from_config(block: dict) -> Topology:
     if has_template:
         if "relays" not in block or "hop" not in block:
             raise ConfigError("template form needs both 'relays' and 'hop'")
-        relays = block["relays"]
-        if isinstance(relays, bool) or not isinstance(relays, int) \
-                or relays < 1:
-            raise ConfigError("relays must be a positive integer")
+        relays = _checked("relays", block["relays"], integer=True)
         hop = _hop_from_config(block["hop"])
         if kind == "serial":
             hops = tuple([hop] * (relays + 1))
@@ -229,17 +231,12 @@ def grid_from_config(cfg: dict, key: str) -> list[float]:
         raise ConfigError(f"config needs '{key}'")
     if isinstance(raw, dict):
         _check_keys(raw, {"start", "stop", "step"}, key)
-        try:
-            start, stop = float(raw["start"]), float(raw["stop"])
-            step = float(raw["step"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"{key} range needs numeric start/stop/step"
-            ) from exc
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise ConfigError(f"{key} range needs finite start/stop/step")
-        if step <= 0.0 or stop < start:
-            raise ConfigError(f"{key} range must have step > 0, stop >= start")
+        start, stop, step = (
+            float(_checked(f"{key} {end}", raw.get(end), lo))
+            for end, lo in (("start", -math.inf), ("stop", -math.inf),
+                            ("step", 0.0)))
+        if stop < start:
+            raise ConfigError(f"{key} range must have stop >= start")
         span = (stop - start) / step + 1e-9
         if not span < MAX_GRID_POINTS:
             raise ConfigError(
@@ -251,13 +248,16 @@ def grid_from_config(cfg: dict, key: str) -> list[float]:
 
 
 def _finite_numbers(raw: list, where: str) -> list[float]:
+    return [float(_checked(f"{where}[{i}]", v, -math.inf))
+            for i, v in enumerate(raw)]
+
+
+def _checked(name: str, value, lo: float = 0.0, **rule):
+    """``check_number``'s value, or its message as a config error."""
     try:
-        values = [float(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must contain numbers") from exc
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"{where} must contain finite numbers")
-    return values
+        return check_number(name, value, lo, **rule)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _taus(cfg: dict) -> list[float]:
@@ -292,9 +292,6 @@ def mc_from_config(cfg: dict, args) -> tuple[SimConfig, list[float] | None]:
             "Monte Carlo needs 'mc': {'samples', 'seed'} in the config "
             "or --samples/--seed flags"
         )
-    for name, value in (("samples", samples), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"mc.{name} must be an integer, got {value!r}")
     snr = block.get("snr_db")
     if snr is not None:
         if not isinstance(snr, list) or not snr:
@@ -302,8 +299,10 @@ def mc_from_config(cfg: dict, args) -> tuple[SimConfig, list[float] | None]:
         snr = _snr_points(_finite_numbers(snr, "mc.snr_db"), "mc.snr_db")
     try:
         return SimConfig(samples=samples, seed=seed), snr
-    except (TypeError, ValueError, InsufficientSamples) as exc:
+    except InsufficientSamples as exc:
         raise ConfigError(f"bad mc settings: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"mc.{exc}") from exc
 
 
 def _mean_snr(snr_db: float) -> float:

@@ -79,8 +79,11 @@ def check_number(name: str, value, lo: float = 0.0, hi: float = math.inf,
         ok = False
     if not ok:
         kind = "an integer" if integer else "a finite number"
-        rule = ("a positive finite number"
-                if (lo, hi, ends, integer) == (0.0, math.inf, "()", False)
-                else f"{kind} in {ends[0]}{lo:.15g}, {hi:.15g}{ends[1]}")
+        if (lo, hi) == (-math.inf, math.inf):
+            rule = kind
+        elif (lo, hi, ends) == (0.0, math.inf, "()"):
+            rule = f"a positive {'integer' if integer else 'finite number'}"
+        else:
+            rule = f"{kind} in {ends[0]}{lo:.15g}, {hi:.15g}{ends[1]}"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value

@@ -4,7 +4,9 @@ Per-hop SNR realisations come from independent counter-based streams
 keyed by (hop index, batch index), so a report is bit-identical for a
 given seed regardless of batch execution order, and adding a hop never
 perturbs the draws of the existing ones.  Estimates stream over fixed
-batches; memory is bounded by the batch size.
+batches, and the topology folds a batch's draws in one hop at a time,
+so memory is bounded by the batch size: a batch holds a few arrays of
+its size, whatever the number of hops.
 
 One simulation serves a whole sweep of mean-SNR points.  Every catalog
 law is a scale family in its mean, and the min, max and sum that
@@ -43,14 +45,13 @@ class SimConfig:
     batch: int = 1 << 17
 
     def __post_init__(self):
-        if self.samples < _MIN_SAMPLES:
+        if check_number("samples", self.samples, -math.inf,
+                        integer=True) < _MIN_SAMPLES:
             raise InsufficientSamples(
                 f"need at least {_MIN_SAMPLES} samples, got {self.samples}"
             )
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit an unsigned 64-bit integer")
-        if self.batch < 1:
-            raise ValueError("batch size must be at least 1")
+        check_number("seed", self.seed, 0, 2 ** 64, ends="[)", integer=True)
+        check_number("batch", self.batch, integer=True)
 
 
 @dataclass(frozen=True)
@@ -205,14 +206,14 @@ def simulate(
     every point of a sweep; returns one report per point, in order.
 
     Per batch, every hop draws once from its own stream and the
-    topology combines the draws physically (min over a chain, then max
-    or sum across branches).  A point sees the combined draws times its
-    scale, which is the topology with every hop mean multiplied by that
-    scale: min, max and sum commute with a positive factor, and every
-    catalog law is a scale family in its mean.  Batches may run on
-    at most ``jobs`` threads, one per batch and CPU available, each
-    holding its batch's draws; partial sums are merged in batch order,
-    so the result is identical to the sequential run.
+    topology folds the draws in as they come, physically (min over a
+    chain, then max or sum across branches).  A point sees the combined
+    draws times its scale, which is the topology with every hop mean
+    multiplied by that scale: min, max and sum commute with a positive
+    factor, and every catalog law is a scale family in its mean.
+    Batches may run on at most ``jobs`` threads, one per batch and CPU
+    available, each holding its batch's draws; partial sums are merged
+    in batch order, so the result is identical to the sequential run.
     """
     taus_arr = np.asarray([float(t) for t in taus], dtype=float)
     if np.any(np.diff(taus_arr) < 0.0):
@@ -225,9 +226,8 @@ def simulate(
 
     def run_batch(b: int) -> list[tuple]:
         nb = sizes[b]
-        draws = [hop.sample(_stream(cfg.seed, h, b), nb)
-                 for h, hop in enumerate(hops)]
-        unit = topology.combine(draws)
+        unit = topology.combine(hop.sample(_stream(cfg.seed, h, b), nb)
+                                for h, hop in enumerate(hops))
         # a positive factor keeps the order, so one sort serves every point
         ordered = np.sort(unit)
         partials = []

@@ -10,14 +10,22 @@ for the maximum (``_product_law``).  A chain or a branch is a minimum;
 a selective system is the maximum of its branch minima or, in the
 marginal-product variant, of the first-hop and second-hop minima.
 Each topology's ``combine`` realises the physical recipe (min / max
-of min / sum of min) over per-hop draws taken in ``flat_hops`` order;
-Monte Carlo samples through it, independent of the analytic CDF route.
+of min / sum of min) over per-hop draws taken in ``flat_hops`` order,
+folding any iterable of them one draw at a time; Monte Carlo samples
+through it, independent of the analytic CDF route.
+
+Hop models and branch pairs hash by value, so equal hops, or equal
+branches, are one group whose factor is a power: each distinct hop is
+evaluated once.  Construction keeps the first of any equal entries, so
+repeats also share one instance and the per-instance memos of a model.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,14 +80,14 @@ def _selective_law(branches, formula: str, t: np.ndarray, density: bool):
     laws = _hop_laws(_flat(branches), t, density)
     chains = branches if formula == "exact" else tuple(zip(*branches))
     return _product_law([(*_min_law(chain, laws), count)
-                         for chain, count in _grouped(chains)])
+                         for chain, count in Counter(chains).items()])
 
 
 def _hop_laws(hops: Sequence[FadingModel], t: np.ndarray, density: bool):
     """Clipped CDF min(F, 1) and, if ``density``, the density of each
-    distinct hop at ``t``, keyed by identity: one evaluation per hop."""
-    return {id(h): (np.minimum(h.cdf(t), 1.0), h.pdf(t) if density else None)
-            for h, _ in _grouped(hops)}
+    distinct hop at ``t``, keyed by the hop: one evaluation per hop."""
+    return {h: (np.minimum(h.cdf(t), 1.0), h.pdf(t) if density else None)
+            for h in dict.fromkeys(hops)}
 
 
 def _min_law(hops: Sequence[FadingModel], laws: dict):
@@ -90,12 +98,12 @@ def _min_law(hops: Sequence[FadingModel], laws: dict):
     relative accuracy in the lower tail.  The density is the product
     rule on the survivals (None when ``laws`` carries no densities).
     """
-    groups = _grouped(hops)
-    log_sf = np.zeros_like(laws[id(hops[0])][0])
+    groups = Counter(hops).items()
+    log_sf = np.zeros_like(laws[hops[0]][0])
     for hop, count in groups:
         with np.errstate(divide="ignore"):
-            log_sf += count * np.log1p(-laws[id(hop)][0])
-    survivals = [(1.0 - laws[id(h)][0], laws[id(h)][1], c) for h, c in groups]
+            log_sf += count * np.log1p(-laws[hop][0])
+    survivals = [(1.0 - laws[h][0], laws[h][1], c) for h, c in groups]
     return -np.expm1(log_sf), _product_law(survivals)[1]
 
 
@@ -131,53 +139,22 @@ def _check_formula(formula: str) -> None:
         )
 
 
-def _grouped(items: Sequence) -> list[tuple[object, int]]:
-    """Collapse repeated hops or branches so their factors are powers.
-
-    Repeats are found by identity: construction interns equal hops and
-    equal branches into one object (see ``_intern_pairs``).
-    """
-    groups: list[tuple[object, int]] = []
-    for item in items:
-        for i, (seen, count) in enumerate(groups):
-            if seen is item:
-                groups[i] = (seen, count + 1)
-                break
-        else:
-            groups.append((item, 1))
-    return groups
-
-
 def _flat(branches: Sequence[BranchPair]) -> tuple[FadingModel, ...]:
     return tuple(h for pair in branches for h in pair)
 
 
-def _intern_one(model, seen: list):
-    for s in seen:
-        if s == model:
-            return s
-    seen.append(model)
-    return model
+def _first_of_equals(items) -> tuple:
+    """``items`` with each entry replaced by the first entry equal to it,
+    so that repeats share one instance and the memos it keeps."""
+    first: dict = {}
+    return tuple(first.setdefault(x, x) for x in items)
 
 
-def _intern_hops(hops: Sequence[FadingModel]) -> tuple[FadingModel, ...]:
-    """Replace equal hop models by one shared instance.
-
-    Contours are shared per H block, but an instance memoises its
-    ``_canon``, contour specs, ``GenericH`` inverse grid,
-    WeibullGamma/DGG mixing grids and Malaga contour memo.  Aliasing
-    shares those and lets ``_grouped`` evaluate equal hops once.
-    """
-    seen: list[FadingModel] = []
-    return tuple(_intern_one(h, seen) for h in hops)
-
-
-def _intern_pairs(branches: Sequence[BranchPair]) -> tuple[BranchPair, ...]:
-    """Intern the hops, then equal branches, so that ``_grouped``
-    composes each distinct branch once."""
-    flat = _intern_hops(_flat(branches))
-    seen: list[BranchPair] = []
-    return tuple(_intern_one(p, seen) for p in zip(flat[::2], flat[1::2]))
+def _first_pairs(branches: Sequence[BranchPair]) -> tuple[BranchPair, ...]:
+    """Branches as pairs in which equal hops, then equal pairs, share one
+    instance; a pair may be given as a list."""
+    hops = _first_of_equals(_flat(branches))
+    return _first_of_equals(zip(hops[::2], hops[1::2]))
 
 
 @dataclass(frozen=True)
@@ -189,7 +166,7 @@ class Serial:
     def __post_init__(self):
         if not self.hops:
             raise ValueError("a serial chain needs at least one hop")
-        object.__setattr__(self, "hops", _intern_hops(self.hops))
+        object.__setattr__(self, "hops", _first_of_equals(self.hops))
 
     def flat_hops(self) -> tuple[FadingModel, ...]:
         return tuple(self.hops)
@@ -197,8 +174,8 @@ class Serial:
     def with_mean_snr(self, mean_snr: float) -> "Serial":
         return Serial(tuple(h.with_mean_snr(mean_snr) for h in self.hops))
 
-    def combine(self, draws: list[np.ndarray]) -> np.ndarray:
-        return np.minimum.reduce(draws)
+    def combine(self, draws: Iterable[np.ndarray]) -> np.ndarray:
+        return functools.reduce(np.minimum, draws)
 
 
 class _Branched:
@@ -213,9 +190,11 @@ class _Branched:
             for a, b in self.branches
         ))
 
-    def _branch_minima(self, draws: list[np.ndarray]) -> list[np.ndarray]:
-        return [np.minimum(draws[2 * i], draws[2 * i + 1])
-                for i in range(len(self.branches))]
+    @staticmethod
+    def _branch_minima(draws: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """Minimum of each consecutive pair of draws, one pair at a time."""
+        draw = iter(draws)
+        return map(np.minimum, draw, draw)
 
 
 @dataclass(frozen=True)
@@ -229,10 +208,10 @@ class Selective(_Branched):
         if not self.branches:
             raise ValueError("a selective system needs at least one branch")
         _check_formula(self.formula)
-        object.__setattr__(self, "branches", _intern_pairs(self.branches))
+        object.__setattr__(self, "branches", _first_pairs(self.branches))
 
-    def combine(self, draws: list[np.ndarray]) -> np.ndarray:
-        return np.maximum.reduce(self._branch_minima(draws))
+    def combine(self, draws: Iterable[np.ndarray]) -> np.ndarray:
+        return functools.reduce(np.maximum, self._branch_minima(draws))
 
 
 @dataclass(frozen=True)
@@ -253,10 +232,10 @@ class AllActive(_Branched):
         check_number("grid_points", self.grid_points, 16,
                      self.MAX_GRID_POINTS, ends="[]", integer=True)
         check_number("mass_tol", self.mass_tol, 0.0, 1.0)
-        object.__setattr__(self, "branches", _intern_pairs(self.branches))
+        object.__setattr__(self, "branches", _first_pairs(self.branches))
 
-    def combine(self, draws: list[np.ndarray]) -> np.ndarray:
-        return np.add.reduce(self._branch_minima(draws))
+    def combine(self, draws: Iterable[np.ndarray]) -> np.ndarray:
+        return functools.reduce(np.add, self._branch_minima(draws))
 
 
 Topology = Serial | Selective | AllActive
@@ -378,7 +357,7 @@ def _all_active_channel(topology: AllActive) -> EndToEndChannel:
     """
     branches = topology.branches
     k = topology.grid_points
-    distinct = [pair for pair, _ in _grouped(branches)]
+    distinct = dict.fromkeys(branches)
     per_branch_cap = max(
         _support_hint(lambda t: branch_cdf(pair, t),
                       max(pair[0].mean, pair[1].mean))
@@ -387,11 +366,11 @@ def _all_active_channel(topology: AllActive) -> EndToEndChannel:
     edges = np.linspace(0.0, per_branch_cap, k + 1)
     step = edges[1] - edges[0]
 
-    masses = {id(pair): np.maximum(np.diff(np.asarray(branch_cdf(pair, edges))),
-                                   0.0) for pair in distinct}
+    masses = {pair: np.maximum(np.diff(np.asarray(branch_cdf(pair, edges))),
+                               0.0) for pair in distinct}
     mass = None
     for pair in branches:
-        m = masses[id(pair)]
+        m = masses[pair]
         mass = m if mass is None else np.maximum(_convolve(mass, m), 0.0)
 
     total = float(mass.sum())

@@ -82,6 +82,9 @@ MALAGA_HOP = {"family": "malaga", "alpha": 2.296, "beta": 1.822,
               "omega_prime": 1.3265, "b0": 0.1079, "rho": 0.596,
               "series_terms": 320}
 
+GENERIC_H_HOP = {"family": "generic_h", "kappa": 1.0, "delta": 1.0,
+                 "h": {"m": 1, "n": 0, "lower": [[0.0, 1.0]]}}
+
 GOLDEN = Path(__file__).parent / "golden"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -290,6 +293,27 @@ class TestConfigValues:
         assert run([command, "--config", write_config(tmp_path, cfg)]) == 1
         assert "config error: " in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("command,path,value", [
+        ("capacity-sweep", ("snr_grid_db",), [True, "5"]),
+        ("outage-sweep", ("taus",), [True, "2"]),
+        ("capacity-sweep", ("snr_grid_db",),
+         {"start": "0", "stop": True, "step": "1"}),
+        ("outage-sweep", ("taus",), {"start": 0.5, "stop": 2.0, "step": True}),
+        ("validate", ("mc", "snr_db"), [False]),
+    ], ids=["snr_bool_string", "tau_bool_string", "range_strings_bool",
+            "range_step_bool", "mc_snr_bool"])
+    def test_booleans_and_strings_are_not_grid_values(
+            self, command, path, value, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        assert run([command, "--config", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "finite number, got " in err
 
     def test_range_point_bound(self):
         limit = cli.MAX_GRID_POINTS
@@ -557,6 +581,26 @@ class TestValidate:
             assert marginal == pytest.approx(math.expm1(-x) ** 2, rel=1e-8)
             # the topology's own formula is the outage table's column
             assert row[column] == table[1]
+
+    @pytest.mark.parametrize("top", [
+        {"kind": "selective", "relays": 3, "hop": GENERIC_H_HOP},
+        {"kind": "serial", "hops": [GENERIC_H_HOP] * 3},
+    ], ids=["selective_relays", "serial_spelled_out"])
+    def test_equal_generic_h_hops_build_one_inverse_grid(
+            self, top, tmp_path, monkeypatch):
+        grid = fading.GenericH.__dict__["_inverse_grid"]
+        builds = []
+        build = grid.func
+
+        def counted(hop):
+            builds.append(hop)
+            return build(hop)
+
+        monkeypatch.setattr(grid, "func", counted)
+        cfg = dict(TINY, topology=top, mc={"samples": 2000, "seed": 1})
+        assert run(["validate", "--config", write_config(tmp_path, cfg),
+                    "--out", os.devnull]) == 0
+        assert len(builds) == 1
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         assert run(["validate", "--config",

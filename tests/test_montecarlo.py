@@ -186,6 +186,36 @@ class TestValidation:
         with pytest.raises(ValueError, match="seed"):
             SimConfig(samples=1000, seed=-1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"samples": 2000.0}, {"samples": True}, {"seed": 1.5}, {"seed": True},
+        {"batch": 2.0}, {"batch": True}, {"batch": 0},
+    ], ids=["samples_float", "samples_true", "seed_float", "seed_true",
+            "batch_float", "batch_true", "batch_zero"])
+    def test_counts_are_integers(self, kwargs):
+        key = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            SimConfig(**dict({"samples": 1000, "seed": 1}, **kwargs))
+
+
+class TestMemory:
+    """A batch holds a few arrays of its size, whatever the hop count."""
+
+    @pytest.mark.parametrize("topo", [
+        Serial(hops=(Exponential(1.0),) * 400),
+        Selective(branches=((Exponential(1.0), Exponential(2.0)),) * 200),
+    ], ids=["chain_400", "selective_200"])
+    def test_simulate_peak_independent_of_hops(self, topo):
+        import tracemalloc
+        cfg = SimConfig(samples=1 << 14, seed=3, batch=1 << 14)
+        tracemalloc.start()
+        try:
+            simulate(topo, cfg, [1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 400 batch arrays of 128 KiB each would take 50 MiB
+        assert peak < 4 * 2 ** 20
+
 
 class TestEstimators:
     """Capacity estimates are sample means of the simulated draws."""

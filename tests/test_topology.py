@@ -296,6 +296,61 @@ class TestHopEvaluations:
         assert calls == {"cdf": 1, "pdf": 0}
 
 
+def count_cdf_calls(monkeypatch, cls) -> dict:
+    """Wrap ``cls.cdf`` so that each call is counted by its hop value."""
+    calls: dict = {}
+    law = cls.cdf
+
+    def counted(self, gamma):
+        calls[self] = calls.get(self, 0) + 1
+        return law(self, gamma)
+
+    monkeypatch.setattr(cls, "cdf", counted)
+    return calls
+
+
+class TestValueRule:
+    """Equal hops and equal branches are one group by value, however
+    they were built, so each distinct hop is evaluated once."""
+
+    def test_equal_hop_instances_in_a_chain(self, monkeypatch):
+        hops = tuple(Exponential(1.0) for _ in range(4)) + (Exponential(2.0),)
+        assert len({id(h) for h in hops}) == 5
+        ch = end_to_end(Serial(hops=hops))
+        calls = count_cdf_calls(monkeypatch, Exponential)
+        ch.cdf(TAUS)
+        assert calls == {Exponential(1.0): 1, Exponential(2.0): 1}
+
+    @pytest.mark.parametrize("spelled", ["tuples", "lists", "config"])
+    def test_equal_branches_spelled_out(self, monkeypatch, spelled):
+        from relaycap import cli
+        if spelled == "config":
+            hop = {"family": "exponential"}
+            sel = cli.topology_from_config(
+                {"kind": "selective", "branches": [[hop, hop]] * 3})
+        else:
+            pair = tuple if spelled == "tuples" else list
+            sel = Selective(branches=[
+                pair((Exponential(1.0), Exponential(1.0))) for _ in range(3)])
+        calls = count_cdf_calls(monkeypatch, Exponential)
+        end_to_end(sel).cdf(TAUS)
+        assert list(calls.values()) == [1]
+
+    @pytest.mark.parametrize("topo", [
+        Serial(hops=(Exponential(1.0), Exponential(2.0), Exponential(1.0))),
+        Selective(branches=((Exponential(1.0), Exponential(2.0)),
+                            (Exponential(0.5), Exponential(3.0)))),
+        AllActive(branches=((Exponential(1.0), Exponential(2.0)),
+                            (Exponential(0.5), Exponential(3.0)),
+                            (Exponential(1.0), Exponential(2.0)))),
+    ], ids=["serial", "selective", "all_active"])
+    def test_combine_folds_a_generator_like_a_list(self, topo):
+        rng = np.random.default_rng(5)
+        draws = [h.sample(rng, 1000) for h in topo.flat_hops()]
+        folded = topo.combine(d for d in draws)
+        assert folded.tobytes() == topo.combine(draws).tobytes()
+
+
 class TestInterning:
     def test_serial_shares_equal_hops(self):
         s = Serial(hops=(Exponential(1.0), Exponential(1.0)))

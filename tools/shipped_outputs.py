@@ -7,7 +7,9 @@ and runs the 20 shipped commands on each: capacity-sweep, outage-sweep,
 opra-cutoff, validate and outage-sweep --validate, on each of the four
 shipped configs, at the seed the configs carry.  Prints one line per
 command: "identical", or what differs, with each moved column and the
-largest absolute and the largest relative change of its numbers.
+largest absolute and the largest relative change of its numbers, then
+the peak resident memory of the base and of the head run, read with
+``os.wait4`` on each child.
 Under capacity-sweep and validate it then lists each capacity cell that
 moved (the ``capacity_bits_per_hz`` column, or a report's ``analytic``
 column) and whether the move lies within the base's plus the head's
@@ -47,12 +49,21 @@ CUTOFF_COLUMNS = {"capacity-sweep": ("cutoff", ("snr_db", "policy")),
 CUTOFF_FLAG = 1e-9
 
 
-def run(tree: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
-    """stdout, stderr and exit code of the CLI of ``tree``."""
+def run(tree: Path, argv: list[str]) -> tuple[tuple[bytes, bytes, int],
+                                              float]:
+    """stdout, stderr and exit code of the CLI of ``tree``, and the
+    child's peak resident set size in MiB."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=tree,
-                          env=env, capture_output=True)
-    return proc.stdout, proc.stderr, proc.returncode
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-c", ENTRY, *argv],
+                                cwd=tree, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        # Linux reports ru_maxrss in KiB
+        return ((out.read(), err.read(), proc.returncode),
+                usage.ru_maxrss / 1024)
 
 
 def cells(text: str) -> list[list[str]]:
@@ -214,10 +225,13 @@ def main(argv: list[str] | None = None) -> int:
         for config in CONFIGS:
             for command in COMMANDS:
                 argv = [*command, "--config", config]
-                base, head = run(trees["base"], argv), run(trees["head"], argv)
+                base, base_rss = run(trees["base"], argv)
+                head, head_rss = run(trees["head"], argv)
                 verdict = compare(base, head)
                 differing += verdict != "identical"
-                print(f"{' '.join(argv)}: {verdict}", flush=True)
+                print(f"{' '.join(argv)}: {verdict}; peak RSS base "
+                      f"{base_rss:.1f} MiB, head {head_rss:.1f} MiB",
+                      flush=True)
                 if command[0] in CAPACITY_COLUMNS:
                     for line, within in capacity_moves(command[0], base[0],
                                                        head[0]):
