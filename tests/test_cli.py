@@ -293,7 +293,6 @@ class TestConfigValues:
         assert run([command, "--config", write_config(tmp_path, cfg)]) == 1
         assert "config error: " in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("command,path,value", [
         ("capacity-sweep", ("snr_grid_db",), [True, "5"]),
         ("outage-sweep", ("taus",), [True, "2"]),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from relaycap import capacity, topology
+from relaycap import capacity, cli, topology
 from relaycap.errors import GridResolutionInsufficient
 from relaycap.fading import Exponential, Gamma
 from relaycap.topology import (
@@ -323,7 +323,6 @@ class TestValueRule:
 
     @pytest.mark.parametrize("spelled", ["tuples", "lists", "config"])
     def test_equal_branches_spelled_out(self, monkeypatch, spelled):
-        from relaycap import cli
         if spelled == "config":
             hop = {"family": "exponential"}
             sel = cli.topology_from_config(
