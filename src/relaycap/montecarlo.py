@@ -114,23 +114,38 @@ def _mean_se(s: float, s2: float, n: int) -> tuple[float, float]:
 
 def _policy_batch(req: PolicyRequest, g: np.ndarray) -> np.ndarray:
     """Sum v, sum v^2, draws at or above the cutoff (all draws when the
-    policy has none) and max v of one batch, for the policy's term v."""
+    policy has none) and max v of one batch, for the policy's term v.
+
+    v is built in place in one array, zero below any cutoff.  A term
+    built from temporaries of the batch's size makes the allocator
+    return and refault their pages on every call, once the draws are
+    folded hop by hop: that cost fig3_dgg's validate about a fifth of
+    its wall time.
+    """
     pl = req.prelog
     above = g >= req.cutoff if req.cutoff is not None else None
     if req.name == "ora":
-        v = pl * np.log2(1.0 + g)
+        v = np.add(1.0, g)
+        np.log2(v, out=v)
+        v *= pl
     elif req.name == "opra":
-        v = np.where(above, pl * np.log2(np.maximum(g, req.cutoff) / req.cutoff),
-                     0.0)
+        v = np.maximum(g, req.cutoff)
+        v /= req.cutoff
+        np.log2(v, out=v)
+        v *= pl
     elif req.name == "effective":
         # the mean can concentrate on the few smallest draws, exactly
         # like the inverse moment, so max v feeds the same share check
-        v = np.exp(-req.qos_delta * pl / LN2 * np.log1p(g))
+        v = np.log1p(g)
+        v *= -req.qos_delta * pl / LN2
+        np.exp(v, out=v)
     else:
         # cifr, or tcifr: E[t*k] = E[t] and k^2 = k, so the count serves
         # as both the coverage sum and its sum of squares
         with np.errstate(divide="ignore"):
-            v = 1.0 / g if above is None else np.where(above, 1.0 / g, 0.0)
+            v = np.divide(1.0, g)
+    if above is not None:
+        v[~above] = 0.0
     count = g.size if above is None else above.sum()
     return np.array([v.sum(), float(v @ v), float(count),
                      float(v.max(initial=0.0))])
