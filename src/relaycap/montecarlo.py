@@ -116,11 +116,10 @@ def _policy_batch(req: PolicyRequest, g: np.ndarray) -> np.ndarray:
     """Sum v, sum v^2, draws at or above the cutoff (all draws when the
     policy has none) and max v of one batch, for the policy's term v.
 
-    v is built in place in one array, zero below any cutoff.  A term
-    built from temporaries of the batch's size makes the allocator
-    return and refault their pages on every call, once the draws are
-    folded hop by hop: that cost fig3_dgg's validate about a fifth of
-    its wall time.
+    v is built in place in one array, zero below any cutoff.  With the
+    draws folded hop by hop no array larger than a batch is freed, so
+    glibc's heap trim threshold stays low and each batch-sized
+    temporary would be returned to the system and refaulted per call.
     """
     pl = req.prelog
     above = g >= req.cutoff if req.cutoff is not None else None
