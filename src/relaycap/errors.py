@@ -69,7 +69,7 @@ def check_number(name: str, value, lo: float = 0.0, hi: float = math.inf,
     """``value`` if it is a finite number (an integer where ``integer``),
     not a bool, in the range from ``lo`` to ``hi`` whose ``ends`` are
     bracketed as in interval notation; else a ``ValueError`` reading
-    "<name> must be ..., got <value!r>"."""
+    "<name> must be ..., got <value!r>", integer bounds printed exactly."""
     try:
         ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
               and not isinstance(value, bool) and math.isfinite(value)
@@ -84,6 +84,8 @@ def check_number(name: str, value, lo: float = 0.0, hi: float = math.inf,
         elif (lo, hi, ends) == (0.0, math.inf, "()"):
             rule = f"a positive {'integer' if integer else 'finite number'}"
         else:
-            rule = f"{kind} in {ends[0]}{lo:.15g}, {hi:.15g}{ends[1]}"
+            lo, hi = (b if isinstance(b, int) else f"{b:.15g}"
+                      for b in (lo, hi))
+            rule = f"{kind} in {ends[0]}{lo}, {hi}{ends[1]}"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value

@@ -10,7 +10,9 @@ two-factor product, integrated over a fixed grid of its second factor
 (their ``to_h`` raises ``UnsupportedHForm``); GammaGamma, Malaga and
 GenericH on the H kernel in :mod:`.foxh`.  The samplers follow the
 constitutive random-variable recipes instead, so Monte Carlo stays an
-independent route end to end.  ``scipy.special`` is imported only in
+independent route end to end; they too run per parent law (one
+generalized-Gamma draw, one product of two), and each builds its draw
+in one array.  ``scipy.special`` is imported only in
 the methods that need incomplete gamma functions, which Gamma and
 GeneralizedGamma reach at shapes other than 1 and the product laws
 always; Exponential, Weibull and the H kernel never load scipy.
@@ -173,11 +175,25 @@ def _gen_gamma_cdf(x: np.ndarray, shape: float, power: float,
     return sp.gammainc(shape, z)
 
 
+def _gen_gamma_draws(rng: np.random.Generator, n: int, shape: float,
+                     power: float, scale: float) -> np.ndarray:
+    """n draws of scale * G**(1/power), G ~ Gamma(shape, 1), built in one
+    array."""
+    g = rng.gamma(shape, 1.0, n)
+    g **= 1.0 / power
+    g *= scale
+    return g
+
+
 class _GenGammaLaw(FadingModel):
-    """pdf, cdf and H-form of scale * G**(1/power), G ~ Gamma(shape, 1).
+    """pdf, cdf, sampler and H-form of scale * G**(1/power),
+    G ~ Gamma(shape, 1).
 
     Subclasses supply ``_law = (shape, power, scale)``.
     """
+
+    def sample(self, rng, n):
+        return _gen_gamma_draws(rng, n, *self._law)
 
     def pdf(self, gamma):
         return _positive_part(gamma, lambda g: _gen_gamma_pdf(g, *self._law))
@@ -206,9 +222,6 @@ class Exponential(_GenGammaLaw):
     def _law(self):
         return 1.0, 1.0, self.mean_snr
 
-    def sample(self, rng, n):
-        return rng.exponential(self.mean_snr, n)
-
 
 @dataclass(frozen=True)
 class Gamma(_GenGammaLaw):
@@ -222,9 +235,6 @@ class Gamma(_GenGammaLaw):
     @property
     def _law(self):
         return self.shape, 1.0, self.mean_snr / self.shape
-
-    def sample(self, rng, n):
-        return rng.gamma(self.shape, self.mean_snr / self.shape, n)
 
 
 @dataclass(frozen=True)
@@ -240,15 +250,9 @@ class Weibull(_GenGammaLaw):
     _POSITIVE = ("shape", "mean_snr")
 
     @property
-    def _scale(self) -> float:
-        return self.mean_snr / math.gamma(1.0 + 1.0 / self.shape)
-
-    @property
     def _law(self):
-        return 1.0, self.shape, self._scale
-
-    def sample(self, rng, n):
-        return self._scale * rng.weibull(self.shape, n)
+        return (1.0, self.shape,
+                self.mean_snr / math.gamma(1.0 + 1.0 / self.shape))
 
 
 @dataclass(frozen=True)
@@ -266,17 +270,10 @@ class GeneralizedGamma(_GenGammaLaw):
     _POSITIVE = ("shape", "power", "mean_snr")
 
     @property
-    def _scale(self) -> float:
+    def _law(self):
         ratio = math.exp(math.lgamma(self.shape + 1.0 / self.power)
                          - math.lgamma(self.shape))
-        return self.mean_snr / ratio
-
-    @property
-    def _law(self):
-        return self.shape, self.power, self._scale
-
-    def sample(self, rng, n):
-        return self._scale * rng.gamma(self.shape, 1.0, n) ** (1.0 / self.power)
+        return self.shape, self.power, self.mean_snr / ratio
 
 
 def _gen_gamma_grid(shape: float, power: float, scale: float):
@@ -302,13 +299,14 @@ def _gen_gamma_grid(shape: float, power: float, scale: float):
 
 
 class _ProductLaw(FadingModel):
-    """pdf and cdf of gamma = mean * I**r / E[I**r], where I = I1 * I2 is
+    """pdf, cdf and sampler of gamma = mean * I**r / E[I**r], where I = I1 * I2 is
     a product of independent generalized-Gamma factors
     I_i = (omega_i / m_i)**(1/alpha_i) * G_i**(1/alpha_i), G_i ~ Gamma(m_i, 1).
 
     Subclasses supply ``_factors``, the (alpha_i, m_i, omega_i) of both
     factors, and ``_order``, the power r.  pdf/cdf integrate the first
-    factor's law against a fixed log-space grid of the second.
+    factor's law against a fixed log-space grid of the second; the
+    sampler draws factor 0, then factor 1.
     """
 
     def _product_moment(self, r: float) -> float:
@@ -355,6 +353,15 @@ class _ProductLaw(FadingModel):
 
         return _positive_part(gamma, f)
 
+    def sample(self, rng, n):
+        r = self._order
+        i = _gen_gamma_draws(rng, n, *self._factor_law(0))
+        i *= _gen_gamma_draws(rng, n, *self._factor_law(1))
+        i **= r
+        i *= self.mean
+        i /= self._product_moment(r)
+        return i
+
 
 @dataclass(frozen=True)
 class WeibullGamma(_ProductLaw):
@@ -379,11 +386,6 @@ class WeibullGamma(_ProductLaw):
     @property
     def _factors(self):
         return (self.weibull_shape, 1.0, 1.0), (1.0, self.gamma_shape, 1.0)
-
-    def sample(self, rng, n):
-        s = rng.gamma(self.gamma_shape, self.mean_power / self.gamma_shape, n)
-        return (s / math.gamma(1.0 + 1.0 / self.weibull_shape)
-                * rng.weibull(self.weibull_shape, n))
 
 
 class _HKernel(FadingModel):
@@ -513,8 +515,7 @@ class DoubleGeneralizedGamma(_ProductLaw):
 
     I = I1 * I2 with I_i generalized-Gamma (alpha_i, m_i, omega_i);
     gamma = mean_snr * I**r / E[I**r], so a deterministic path loss
-    would cancel and none is taken.  The sampler multiplies
-    constitutive draws.
+    would cancel and none is taken.
     """
 
     alpha1: float
@@ -537,14 +538,6 @@ class DoubleGeneralizedGamma(_ProductLaw):
     @property
     def _order(self) -> float:
         return float(self.detection_order)
-
-    def sample(self, rng, n):
-        i1 = (self.omega1 / self.m1) ** (1.0 / self.alpha1) \
-            * rng.gamma(self.m1, 1.0, n) ** (1.0 / self.alpha1)
-        i2 = (self.omega2 / self.m2) ** (1.0 / self.alpha2) \
-            * rng.gamma(self.m2, 1.0, n) ** (1.0 / self.alpha2)
-        r = float(self.detection_order)
-        return self.mean_snr * (i1 * i2) ** r / self._product_moment(r)
 
 
 @dataclass(frozen=True)

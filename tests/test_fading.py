@@ -3,6 +3,7 @@ and their own physical samplers."""
 
 import importlib.util
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -238,6 +239,12 @@ class TestMalaga:
         assert tails[0] > tails[1] > tails[2]
         assert tails[2] < 1e-12
 
+    def test_series_terms_range_message(self):
+        with pytest.raises(ValueError) as exc:
+            Malaga(series_terms=0, **MALAGA_KW)
+        assert str(exc.value) == ("series_terms must be an integer in "
+                                  "[1, 30000], got 0")
+
     def test_undersized_series_rejected(self):
         with pytest.raises(NormalizationError):
             Malaga(series_terms=40, **MALAGA_KW)
@@ -346,6 +353,108 @@ class TestSamplers:
         draws = model.sample(rng, 200_000)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - model.mean) < 5.0 * se
+
+
+# Each preset's own sampler from before the presets drew through their
+# parent law, kept as the reference stream the parent-law samplers
+# reproduce.
+def _reference_exponential(model, rng, n):
+    return rng.exponential(model.mean_snr, n)
+
+
+def _reference_gamma(model, rng, n):
+    return rng.gamma(model.shape, model.mean_snr / model.shape, n)
+
+
+def _reference_weibull(model, rng, n):
+    scale = model.mean_snr / math.gamma(1.0 + 1.0 / model.shape)
+    return scale * rng.weibull(model.shape, n)
+
+
+def _reference_generalized_gamma(model, rng, n):
+    ratio = math.exp(math.lgamma(model.shape + 1.0 / model.power)
+                     - math.lgamma(model.shape))
+    scale = model.mean_snr / ratio
+    return scale * rng.gamma(model.shape, 1.0, n) ** (1.0 / model.power)
+
+
+def _reference_double_generalized_gamma(model, rng, n):
+    i1 = (model.omega1 / model.m1) ** (1.0 / model.alpha1) \
+        * rng.gamma(model.m1, 1.0, n) ** (1.0 / model.alpha1)
+    i2 = (model.omega2 / model.m2) ** (1.0 / model.alpha2) \
+        * rng.gamma(model.m2, 1.0, n) ** (1.0 / model.alpha2)
+    r = float(model.detection_order)
+    return model.mean_snr * (i1 * i2) ** r / model._product_moment(r)
+
+
+def _reference_gamma_gamma(model, rng, n):
+    a, b, x2 = model.alpha, model.beta, model.xi ** 2
+    ia = rng.gamma(a, 1.0 / a, n) * rng.gamma(b, 1.0 / b, n)
+    ip = rng.random(n) ** (1.0 / x2)
+    r = float(model.detection_order)
+    return model.mean_snr * (ia * ip) ** r / model._moment_irradiance(r)
+
+
+def _reference_malaga(model, rng, n):
+    g, om = model.scatter_power, model.los_power
+    x = rng.gamma(model.alpha, 1.0 / model.alpha, n)
+    w = rng.gamma(model.beta, 1.0 / model.beta, n)
+    re = rng.normal(0.0, math.sqrt(g / 2.0), n)
+    im = rng.normal(0.0, math.sqrt(g / 2.0), n)
+    return model._snr_scale * x * ((np.sqrt(w * om) + re) ** 2 + im ** 2)
+
+
+class TestParentLawDraws:
+    """The parent-law samplers against each preset's own recipe, and
+    their memory: each builds its draw in one array."""
+
+    dgg = TestSamplers.models["double_generalized_gamma"]
+    cases = {
+        "exponential": _reference_exponential,
+        "gamma": _reference_gamma,
+        "weibull": _reference_weibull,
+        "generalized_gamma": _reference_generalized_gamma,
+        "double_generalized_gamma": _reference_double_generalized_gamma,
+        "gamma_gamma": _reference_gamma_gamma,
+        "malaga": _reference_malaga,
+    }
+    extra_models = {
+        "dgg_order1": replace(dgg, detection_order=1),
+        "dgg_order1_omega": replace(dgg, detection_order=1, omega1=1.7,
+                                    omega2=0.6),
+        "dgg_order2_omega": replace(dgg, omega1=0.8, omega2=2.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(cases) + sorted(extra_models))
+    def test_same_stream_as_the_preset_recipe(self, name):
+        model = self.extra_models.get(name) or TestSamplers.models[name]
+        reference = self.cases.get(name, _reference_double_generalized_gamma)
+        drawn, expected = (
+            f(model, np.random.Generator(np.random.Philox(KS_SEED)), 4096)
+            for f in (type(model).sample, reference))
+        if name == "weibull":
+            # rng.weibull raises to 1/shape with C pow, the sampler with
+            # **: 1 ulp apart, which the scaling may round to 2
+            np.testing.assert_array_max_ulp(drawn, expected, maxulp=2)
+        else:
+            np.testing.assert_array_equal(drawn, expected)
+
+    @pytest.mark.parametrize("name, arrays", [
+        ("exponential", 1), ("gamma", 1), ("weibull", 1),
+        ("generalized_gamma", 1), ("weibull_gamma", 2),
+        ("double_generalized_gamma", 2),
+    ])
+    def test_traced_peak_in_batch_arrays(self, name, arrays):
+        model, n = TestSamplers.models[name], 1 << 17
+        rng = np.random.Generator(np.random.Philox(KS_SEED))
+        model.sample(rng, n)  # loads anything the first call imports
+        tracemalloc.start()
+        try:
+            model.sample(rng, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (arrays + 0.5) * 8 * n
 
 
 class TestMeanScaling:

@@ -183,8 +183,11 @@ class TestValidation:
             PolicyRequest(name="ora", cutoff=1.0)
 
     def test_seed_range(self):
-        with pytest.raises(ValueError, match="seed"):
+        # the 2**64 bound is printed exactly, not rounded to 15 digits
+        with pytest.raises(ValueError) as exc:
             SimConfig(samples=1000, seed=-1)
+        assert str(exc.value) == ("seed must be an integer in "
+                                  "[0, 18446744073709551616), got -1")
 
     @pytest.mark.parametrize("kwargs", [
         {"samples": 2000.0}, {"samples": True}, {"seed": 1.5}, {"seed": True},

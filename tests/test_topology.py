@@ -226,8 +226,10 @@ class TestAllActive:
         assert coarse.resolution_error > 1e-6
 
     def test_tiny_grid_rejected_at_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             AllActive(branches=self.two_branch().branches, grid_points=8)
+        assert str(exc.value) == ("grid_points must be an integer in "
+                                  "[16, 1048576], got 8")
 
     def test_cdf_saturates_to_one(self):
         ch = end_to_end(self.two_branch())

@@ -8,8 +8,8 @@ opra-cutoff, validate and outage-sweep --validate, on each of the four
 shipped configs, at the seed the configs carry.  Prints one line per
 command: "identical", or what differs, with each moved column and the
 largest absolute and the largest relative change of its numbers, then
-the peak resident memory of the base and of the head run, read with
-``os.wait4`` on each child.
+the peak resident memory and the minor page faults of the base and of
+the head run, read with ``os.wait4`` on each child.
 Under capacity-sweep and validate it then lists each capacity cell that
 moved (the ``capacity_bits_per_hz`` column, or a report's ``analytic``
 column) and whether the move lies within the base's plus the head's
@@ -50,9 +50,9 @@ CUTOFF_FLAG = 1e-9
 
 
 def run(tree: Path, argv: list[str]) -> tuple[tuple[bytes, bytes, int],
-                                              float]:
+                                              str]:
     """stdout, stderr and exit code of the CLI of ``tree``, and the
-    child's peak resident set size in MiB."""
+    child's peak resident set size and minor page faults."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen([sys.executable, "-c", ENTRY, *argv],
@@ -63,7 +63,8 @@ def run(tree: Path, argv: list[str]) -> tuple[tuple[bytes, bytes, int],
         err.seek(0)
         # Linux reports ru_maxrss in KiB
         return ((out.read(), err.read(), proc.returncode),
-                usage.ru_maxrss / 1024)
+                f"{usage.ru_maxrss / 1024:.1f} MiB, "
+                f"{usage.ru_minflt} minor faults")
 
 
 def cells(text: str) -> list[list[str]]:
@@ -225,13 +226,12 @@ def main(argv: list[str] | None = None) -> int:
         for config in CONFIGS:
             for command in COMMANDS:
                 argv = [*command, "--config", config]
-                base, base_rss = run(trees["base"], argv)
-                head, head_rss = run(trees["head"], argv)
+                base, base_usage = run(trees["base"], argv)
+                head, head_usage = run(trees["head"], argv)
                 verdict = compare(base, head)
                 differing += verdict != "identical"
                 print(f"{' '.join(argv)}: {verdict}; peak RSS base "
-                      f"{base_rss:.1f} MiB, head {head_rss:.1f} MiB",
-                      flush=True)
+                      f"{base_usage}, head {head_usage}", flush=True)
                 if command[0] in CAPACITY_COLUMNS:
                     for line, within in capacity_moves(command[0], base[0],
                                                        head[0]):
