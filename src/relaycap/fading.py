@@ -186,8 +186,7 @@ def _gen_gamma_draws(rng: np.random.Generator, n: int, shape: float,
 
 
 class _GenGammaLaw(FadingModel):
-    """pdf, cdf, sampler and H-form of scale * G**(1/power),
-    G ~ Gamma(shape, 1).
+    """pdf, cdf, draws and H-form of scale * G**(1/power), G ~ Gamma(shape, 1).
 
     Subclasses supply ``_law = (shape, power, scale)``.
     """
@@ -299,8 +298,8 @@ def _gen_gamma_grid(shape: float, power: float, scale: float):
 
 
 class _ProductLaw(FadingModel):
-    """pdf, cdf and sampler of gamma = mean * I**r / E[I**r], where I = I1 * I2 is
-    a product of independent generalized-Gamma factors
+    """pdf, cdf and draws of gamma = mean * I**r / E[I**r], where I = I1 * I2
+    is a product of independent generalized-Gamma factors
     I_i = (omega_i / m_i)**(1/alpha_i) * G_i**(1/alpha_i), G_i ~ Gamma(m_i, 1).
 
     Subclasses supply ``_factors``, the (alpha_i, m_i, omega_i) of both
