@@ -19,9 +19,9 @@ always; Exponential, Weibull and the H kernel never load scipy.
 
 Each family declares once which fields must be positive
 (``_POSITIVE``) and which field is its mean (``_MEAN``); the mean only
-rescales the law, every other field sets its shape.  Total probability
-of each distinct shape is checked once, at first construction, by an
-adaptive quadrature that does not share code with the analytic kernels.
+rescales the law, every other field sets its shape.  Construction
+evaluates no density: total probability is checked in closed form, and
+only Malaga's truncated series and GenericH's user rows can miss 1.
 """
 
 from __future__ import annotations
@@ -34,14 +34,15 @@ import numpy as np
 
 from . import foxh
 from .errors import (
-    ConfigError, InvalidOrder, NormalizationError, UnsupportedHForm,
-    check_number,
+    ConfigError, DivergentIntegral, IntegrandOverflow, InvalidOrder,
+    NormalizationError, UnsupportedHForm, check_number,
 )
 from .foxh import ContourSpec, HParams
-from .quadrature import integrate_semi_infinite, quantile_search
+# integrate_semi_infinite stays bound here for bench/selftest.py's checks
+from .quadrature import integrate_semi_infinite, quantile_search  # noqa: F401
 
 _NORM_TOL = 1e-6
-_norm_checked: dict[tuple, bool] = {}
+_LOG_FLOAT_MAX = 709.782712893384  # log of the largest float
 
 
 def _apply(g, fn):
@@ -78,15 +79,16 @@ class HRepresentation:
 
 
 class FadingModel:
-    """Construction check, mean scaling and shape key of every model.
+    """Construction check and mean scaling of every model.
 
     ``_POSITIVE`` names the fields that must be positive finite numbers
     (not booleans), ``_MEAN`` the field equal to E[gamma]; the other
-    init fields make up the shape, whose normalization is checked once.
+    init fields set the shape.  ``_mass`` is the total probability.
     """
 
     _POSITIVE: tuple[str, ...] = ()
     _MEAN: str | None = "mean_snr"
+    _mass = 1.0
 
     def __post_init__(self):
         order = getattr(self, "detection_order", 1)
@@ -116,38 +118,14 @@ class FadingModel:
     def mean(self) -> float:
         return getattr(self, self._MEAN)
 
-    def _shape_key(self) -> tuple:
-        return (type(self).__name__,) + tuple(
-            getattr(self, f.name) for f in fields(self)
-            if f.init and f.name != self._MEAN)
+    def _mass_error(self) -> str:
+        return (f"{type(self).__name__} has total probability "
+                f"{self._mass!r}; check parameters")
 
     def _verify_normalized(self) -> None:
-        """Quadrature check of total probability, once per shape."""
-        key = self._shape_key()
-        if _norm_checked.get(key) is not None:
-            return
-        _norm_checked[key] = False  # re-entrancy guard for the unit copy
-        try:
-            deficit = getattr(self, "series_tail", 0.0)
-            if deficit > _NORM_TOL:
-                raise NormalizationError(
-                    f"series truncation leaves {deficit:.2e} probability "
-                    f"mass; raise series_terms above {self.series_terms}"
-                )
-            unit = self.with_mean_snr(1.0)
-            total, err = integrate_semi_infinite(
-                lambda g: unit.pdf(g), scale=0.5,
-                rel_tol=1e-9, abs_tol=1e-12,
-            )
-            if abs(total + deficit - 1.0) > max(_NORM_TOL, 10.0 * err):
-                raise NormalizationError(
-                    f"{type(self).__name__} density integrates to {total!r} "
-                    f"(series tail {deficit:.2e}); check parameters"
-                )
-        except Exception:
-            _norm_checked.pop(key, None)
-            raise
-        _norm_checked[key] = True
+        """Total probability within _NORM_TOL of 1, read from ``_mass``."""
+        if abs(self._mass - 1.0) > _NORM_TOL:
+            raise NormalizationError(self._mass_error())
 
 
 def _gen_gamma_pdf(x: np.ndarray, shape: float, power: float,
@@ -203,6 +181,9 @@ class _GenGammaLaw(FadingModel):
     def to_h(self) -> HRepresentation:
         m, xi, scale = self._law
         r = 1.0 / scale
+        if math.lgamma(m) > _LOG_FLOAT_MAX:
+            raise UnsupportedHForm(f"{type(self).__name__}'s H form divides "
+                                   f"by Gamma({m!r}), beyond the float range")
         return HRepresentation(
             kappa=r / math.gamma(m), delta=r,
             params=HParams(m=1, n=0, lower=((m - 1.0 / xi, 1.0 / xi),)),
@@ -305,8 +286,14 @@ class _ProductLaw(FadingModel):
     Subclasses supply ``_factors``, the (alpha_i, m_i, omega_i) of both
     factors, and ``_order``, the power r.  pdf/cdf integrate the first
     factor's law against a fixed log-space grid of the second; the
-    sampler draws factor 0, then factor 1.
+    sampler draws factor 0, then factor 1.  The grid, and scipy.special,
+    are loaded at construction, so a shape the grid cannot take fails then.
     """
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "_factor2_grid",
+                           _gen_gamma_grid(*self._factor_law(1)))
 
     def _product_moment(self, r: float) -> float:
         from scipy import special as sp
@@ -323,10 +310,6 @@ class _ProductLaw(FadingModel):
         """(shape, power, scale) of factor i as a generalized Gamma."""
         a, m, om = self._factors[i]
         return m, a, (om / m) ** (1.0 / a)
-
-    @cached_property
-    def _factor2_grid(self):
-        return _gen_gamma_grid(*self._factor_law(1))
 
     def pdf(self, gamma):
         u, w = self._factor2_grid
@@ -406,7 +389,7 @@ class _HKernel(FadingModel):
 
     @property
     def _theta(self):
-        # keyed on the rows θ is built from, never on _shape_key()
+        # keyed on the rows θ is built from, so every mean shares it
         return foxh.shared_theta(self._canon.params)
 
     @cached_property
@@ -460,6 +443,12 @@ class GammaGamma(_HKernel):
     mean_snr: float = 1.0
 
     _POSITIVE = ("alpha", "beta", "xi", "mean_snr")
+
+    def __post_init__(self):
+        super().__post_init__()
+        # to_h's kappa divides by Gamma(alpha) * Gamma(beta)
+        check_number("lgamma(alpha) + lgamma(beta)", math.lgamma(self.alpha)
+                     + math.lgamma(self.beta), -math.inf, _LOG_FLOAT_MAX, "(]")
 
     @property
     def pointing_h(self) -> float:
@@ -564,8 +553,8 @@ class Malaga(_HKernel):
 
     _POSITIVE = ("alpha", "beta", "b0", "mean_irradiance")
     _MEAN = "mean_irradiance"
-    # fig2_malaga's hop builds, normalization check included, in about
-    # 2.5 s at 30,000 terms on 2 cores; the time is linear in the terms
+    # fig2_malaga's hop takes about 2.5 s for its first density value at
+    # 30,000 terms on 2 cores; the time is linear in the terms
     MAX_SERIES_TERMS = 30_000
 
     def __post_init__(self):
@@ -624,6 +613,14 @@ class Malaga(_HKernel):
                 )
             erl_scale = g
         return erl_scale * self._snr_scale, lw
+
+    @property
+    def _mass(self) -> float:
+        return 1.0 - self.series_tail
+
+    def _mass_error(self) -> str:
+        return (f"series truncation leaves {self.series_tail:.2e} probability"
+                f" mass; raise series_terms above {self.series_terms}")
 
     @property
     def series_tail(self) -> float:
@@ -710,7 +707,8 @@ class Malaga(_HKernel):
 class GenericH(_HKernel):
     """User-supplied density kappa * H(delta * gamma | params).
 
-    Normalization of the supplied triple is checked at construction.
+    Total probability, the rows' Mellin transform at s = 1, is checked
+    at construction; the moment validates the rows first.
     Sampling inverts the CDF on a precomputed monotone grid.  No single
     field is the mean: kappa and delta both scale with it.
     """
@@ -721,10 +719,6 @@ class GenericH(_HKernel):
 
     _POSITIVE = ("kappa", "delta")
     _MEAN = None
-
-    def __post_init__(self):
-        foxh.validate(self.params)
-        super().__post_init__()
 
     @cached_property
     def _canon(self) -> HRepresentation:
@@ -753,9 +747,12 @@ class GenericH(_HKernel):
     def mean(self):
         return foxh.mellin_moment(self.params, self.kappa, self.delta, 1.0)
 
-    def _shape_key(self):
-        return ("generic_h", self.params,
-                round(math.log(self.kappa / self.delta), 9))
+    @property
+    def _mass(self) -> float:
+        try:
+            return foxh.mellin_moment(self.params, self.kappa, self.delta, 0)
+        except (DivergentIntegral, IntegrandOverflow) as exc:
+            raise NormalizationError(f"GenericH mass diverges: {exc}") from exc
 
 
 FAMILIES: dict[str, type] = {

@@ -361,6 +361,25 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "'format'" in err
 
+    @pytest.mark.parametrize("hop,message", [
+        # to_h divides by Gamma(200)^2, beyond the float range
+        ({"family": "gamma_gamma", "alpha": 200, "beta": 200, "xi": 1.1},
+         "lgamma(alpha) + lgamma(beta) must be a finite number in "
+         "(-inf, 709.782712893384], got 1715.8"),
+        # the second factor's mixing grid cannot take this shape
+        ({"family": "double_generalized_gamma", "alpha1": 2.0,
+          "alpha2": 1.0, "m1": 2.0, "m2": 0.005}, "math domain error"),
+    ])
+    def test_hop_the_law_cannot_hold_fails_at_build(self, hop, message,
+                                                    tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["topology"] = {"kind": "serial", "hops": [hop]}
+        assert run(["outage-sweep", "--config",
+                    write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+
 
 # an integer beta ignores series_terms, so a value past the cap stays
 # cheap to build even where the cap is not checked
@@ -511,6 +530,23 @@ class TestOutageSweep:
         for line in lines[1:]:
             z = float(line.split(",")[-1])
             assert abs(z) < 4.0
+
+    def test_small_exponent_gamma_gamma_validates(self, tmp_path, capsys):
+        # P = xi^2 / r = 0.125; a quadrature of its density read 0.98721,
+        # and construction refused this valid law
+        cfg = json.loads(json.dumps(TINY))
+        cfg["topology"] = {"kind": "serial", "hops": [{
+            "family": "gamma_gamma", "alpha": 2, "beta": 1.5, "xi": 0.5,
+            "detection_order": 2}]}
+        cfg["taus"] = [0.01, 0.1, 1.0, 10.0]
+        assert run(["outage-sweep", "--config", write_config(tmp_path, cfg),
+                    "--validate", "--seed", "7", "--samples", "200000"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 + 2 * 4
+        for line in lines[1:]:
+            assert abs(float(line.split(",")[-1])) < 4.0
 
 
 class TestOpraCutoff:

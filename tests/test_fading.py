@@ -3,6 +3,8 @@ and their own physical samplers."""
 
 import importlib.util
 import math
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -13,8 +15,8 @@ import scipy.special as sp
 import scipy.stats as st
 from scipy.integrate import quad
 
-from relaycap import fading, foxh
-from relaycap.errors import NormalizationError, UnsupportedHForm
+from relaycap import fading, foxh, quadrature
+from relaycap.errors import ConfigError, NormalizationError, UnsupportedHForm
 from relaycap.fading import (
     DoubleGeneralizedGamma,
     Exponential,
@@ -518,23 +520,83 @@ class TestCatalogSkeleton:
             replace(TestSamplers.models[name], detection_order=order)
 
     @pytest.mark.parametrize("name", sorted(TestSamplers.models))
-    def test_normalization_checked_once_per_shape(self, name, monkeypatch):
-        calls = []
-        quad_check = fading.integrate_semi_infinite
+    def test_construction_evaluates_nothing(self, name, monkeypatch):
+        # total probability comes from a closed form: building a model
+        # integrates nothing and evaluates no density
+        def refuse(*args, **kwargs):
+            raise AssertionError("construction evaluated the law")
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return quad_check(*args, **kwargs)
-
-        monkeypatch.setattr(fading, "integrate_semi_infinite", counted)
-        monkeypatch.setattr(fading, "_norm_checked", {})
+        for fn, obj in vars(quadrature).items():
+            if callable(obj) and getattr(obj, "__module__", None) \
+                    == quadrature.__name__:
+                monkeypatch.setattr(quadrature, fn, refuse)
+                if hasattr(fading, fn):
+                    monkeypatch.setattr(fading, fn, refuse)
+        monkeypatch.setattr(foxh, "mellin_barnes", refuse)
+        for cls in vars(fading).values():
+            if isinstance(cls, type) and issubclass(cls, fading.FadingModel):
+                for kind in ("pdf", "cdf"):
+                    if kind in vars(cls):
+                        monkeypatch.setattr(cls, kind, refuse)
         model = TestSamplers.models[name]
-        model.with_mean_snr(2.0)
+        replace(model)
         model.with_mean_snr(5.0)
-        assert len(calls) == 1
         if name in self.other_shape:
             replace(model, **self.other_shape[name])
-            assert len(calls) == 2
+
+
+class TestClosedFormMass:
+    """Laws a quadrature of the density rejected construct; GenericH rows
+    whose Mellin mass misses 1 are refused; Gamma values beyond the float
+    range are refused before they overflow."""
+
+    def test_small_exponent_gamma_gamma_constructs(self):
+        # P = xi^2 / r = 0.125: an adaptive quadrature of the density
+        # missed the x^(P - 1) mass near 0 and read 0.98721
+        rep = GammaGamma(alpha=2, beta=1.5, xi=0.5, detection_order=2).to_h()
+        mass = foxh.mellin_moment(rep.params, rep.kappa, rep.delta, 0)
+        assert mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_small_shape_double_generalized_gamma_constructs(self):
+        # a quadrature of this density read inf
+        model = DoubleGeneralizedGamma(alpha1=0.05, alpha2=1, m1=0.01, m2=2)
+        cdf = model.cdf(np.array([0.1, 1.0, 10.0]))
+        assert np.all((0.0 < cdf) & (cdf <= 1.0)) and np.all(np.diff(cdf) > 0)
+
+    def test_generic_h_short_mass_rejected(self):
+        # x^-0.5 e^-x has mass Gamma(1/2 + 1) = 0.886
+        with pytest.raises(NormalizationError,
+                           match=r"total probability 0\.8862269"):
+            GenericH(kappa=1.0, delta=1.0,
+                     params=HParams(m=1, n=0, lower=((0.5, 1.0),)))
+
+    def test_generic_h_divergent_mass_rejected(self):
+        # x^-2 e^-x is not integrable at 0
+        with pytest.raises(NormalizationError, match="diverges"):
+            GenericH(kappa=1.0, delta=1.0,
+                     params=HParams(m=1, n=0, lower=((-1.0, 1.0),)))
+
+    def test_generic_h_normalized_block_constructs(self):
+        # x^0.5 e^-x / Gamma(1.5): a Gamma(1.5, 1) law, mean 1.5
+        model = GenericH(kappa=1.0 / math.gamma(1.5), delta=1.0,
+                         params=HParams(m=1, n=0, lower=((0.5, 1.0),)))
+        assert model.mean == pytest.approx(1.5, rel=1e-12)
+        assert float(model.cdf(1.0)) == pytest.approx(
+            st.gamma(1.5).cdf(1.0), rel=1e-8)
+
+    def test_gamma_gamma_beyond_float_range_is_a_config_error(self):
+        # Gamma(200)^2 is beyond the float range, and to_h divides by it
+        with pytest.raises(ConfigError, match=r"lgamma\(alpha\) \+ "
+                           r"lgamma\(beta\) must be .*709\.78"):
+            model_from_config({"family": "gamma_gamma", "alpha": 200,
+                               "beta": 200, "xi": 1.1})
+
+    def test_gamma_beyond_float_range_has_no_h_form(self):
+        model = Gamma(shape=500)
+        assert float(model.cdf(1.0)) == pytest.approx(
+            st.gamma(500, scale=1 / 500).cdf(1.0), rel=1e-9)
+        with pytest.raises(UnsupportedHForm, match="Gamma\\(500\\)"):
+            model.to_h()
 
 
 def _bench_tracer():
@@ -549,6 +611,15 @@ def _bench_tracer():
 class TestBenchTracerHooks:
     """The bench tracer wraps pdf/cdf by the class that defines them; a
     refactor that moves them out of its sight zeroes the fading counts."""
+
+    def test_bench_selftest_passes(self):
+        # the tracer's own self-test reads names off the package; a
+        # refactor that drops one fails here, not only in the benchmark
+        root = Path(__file__).resolve().parents[1]
+        got = subprocess.run([sys.executable, "bench/selftest.py"],
+                             cwd=root, capture_output=True, text=True,
+                             timeout=300)
+        assert got.returncode == 0, got.stderr[-2000:]
 
     def test_every_family_counted_and_restored(self):
         tracer = _bench_tracer()
