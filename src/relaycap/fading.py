@@ -286,8 +286,8 @@ class _ProductLaw(FadingModel):
     Subclasses supply ``_factors``, the (alpha_i, m_i, omega_i) of both
     factors, and ``_order``, the power r.  pdf/cdf integrate the first
     factor's law against a fixed log-space grid of the second; the
-    sampler draws factor 0, then factor 1.  The grid, and scipy.special,
-    are loaded at construction, so a shape the grid cannot take fails then.
+    sampler draws factor 0, then factor 1.  The grid is built, and
+    scipy.special imported, at construction: a shape it cannot take fails then.
     """
 
     def __post_init__(self):
