@@ -12,10 +12,12 @@ GenericH on the H kernel in :mod:`.foxh`.  The samplers follow the
 constitutive random-variable recipes instead, so Monte Carlo stays an
 independent route end to end; they too run per parent law (one
 generalized-Gamma draw, one product of two), and each builds its draw
-in one array.  ``scipy.special`` is imported only in
-the methods that need incomplete gamma functions, which Gamma and
-GeneralizedGamma reach at shapes other than 1 and the product laws
-always; Exponential, Weibull and the H kernel never load scipy.
+in one array.  At integer shapes up to ``_ERLANG_MAX_SHAPE`` the
+incomplete gamma functions of the generalized-Gamma law (its CDF, and
+the quantiles that bound the product laws' grid) take their Erlang
+closed forms; ``scipy.special`` is imported only for the other shapes,
+by Gamma, GeneralizedGamma and the product laws' factors.  Exponential,
+Weibull, the H kernel and every shipped config never load scipy.
 
 Each family declares once which fields must be positive
 (``_POSITIVE``) and which field is its mean (``_MEAN``); the mean only
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -142,13 +144,74 @@ def _gen_gamma_pdf(x: np.ndarray, shape: float, power: float,
     return np.exp(log_f) * power / scale
 
 
+# Integer shapes up to this one run on the Erlang closed forms below:
+# tests/test_fading.py::TestErlangClosedForms holds P and Q to 1e-13 of
+# mpmath at every one of them, from P = 1e-300 to Q = 1e-300.  At shape
+# 144 the series' z**m overflows on its upper end, z = m - 1.
+_ERLANG_MAX_SHAPE = 143
+
+
+def _erlang_shape(shape: float) -> int:
+    """``shape`` as an int if the Erlang closed forms take it, else 0."""
+    if shape == int(shape) and 1 <= shape <= _ERLANG_MAX_SHAPE:
+        return int(shape)
+    return 0
+
+
+@cache
+def _erlang_terms(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """1/k! for k <= m, and the coefficients m!/(m + j)! of P(m, z)'s
+    series up to the first that adds less than 2**-56 at z = m - 1; each
+    correctly rounded (int / int)."""
+    inverse = tuple(1 / math.factorial(k) for k in range(m + 1))
+    series = [1.0]
+    while series[-1] * (m - 1.0) ** len(series) >= 2.0 ** -56:
+        series.append(math.factorial(m) / math.factorial(m + len(series)))
+    return inverse, tuple(series)
+
+
+def _horner(z: np.ndarray, coefs) -> np.ndarray:
+    """sum_k coefs[k] * z**k; every term is positive, so no digit cancels."""
+    s = np.zeros_like(z)
+    for c in reversed(coefs):
+        s *= z
+        s += c
+    return s
+
+
+def _erlang_q(m: int, z: np.ndarray) -> np.ndarray:
+    """Q(m, z) = e^-z sum_{k<m} z^k/k! (A&S 6.5.13) at integer m and
+    z >= m - 1; e^(-z/2) taken twice keeps it normal down to 1e-300."""
+    h = np.exp(-0.5 * z)
+    return h * _horner(z, _erlang_terms(m)[0][:m]) * h
+
+
+def _erlang_p(m: int, z: np.ndarray) -> np.ndarray:
+    """P(m, z) = 1 - Q(m, z) at integer m, to its relative digits.
+
+    At z >= m - 1, where P > 1/4, it is -expm1(-z) less the terms
+    k = 1 .. m-1 of Q, so shape 1 is -expm1(-z) bit for bit; the clip
+    only drops terms below e^-1000.  Below m - 1 it is the positive series
+    e^-z z^m/m! sum_j z^j m!/(m + j)!."""
+    inverse, series = _erlang_terms(m)
+    p = -np.expm1(-z)
+    zc = np.minimum(z, 1e3)
+    p -= np.exp(-zc) * (_horner(zc, inverse[1:m]) * zc)
+    low = z < m - 1
+    if low.any():
+        zl = z[low]
+        p[low] = _horner(zl, series) * np.exp(-zl) * (zl ** m * inverse[m])
+    return p
+
+
 def _gen_gamma_cdf(x: np.ndarray, shape: float, power: float,
                    scale: float) -> np.ndarray:
     """CDF of scale * G**(1/power), G ~ Gamma(shape, 1), at x > 0; only
-    shapes other than 1 need scipy's incomplete gamma function."""
+    shapes off the Erlang closed forms need scipy's incomplete gamma."""
     z = (x / scale) ** power
-    if shape == 1.0:
-        return -np.expm1(-z)
+    m = _erlang_shape(shape)
+    if m:
+        return _erlang_p(m, z)
     from scipy import special as sp
     return sp.gammainc(shape, z)
 
@@ -256,18 +319,53 @@ class GeneralizedGamma(_GenGammaLaw):
         return self.shape, self.power, self.mean_snr / ratio
 
 
+def _erlang_quantile(m: int, target: float, upper: bool) -> float:
+    """z with P(m, z) = target, or Q(m, z) = target if ``upper``, at
+    integer m: Newton's method in ln z on ln P (ln Q), whose slope is
+    +-e^-z z^m/(m - 1)! over P (Q), from the leading term's root, z^m/m!
+    for P and e^-z z^(m-1)/(m-1)! for Q.  The residual is ln of the ratio
+    to ``target``, not a difference of logs, so it converges to a few ulp."""
+    if upper:
+        fn, sign, z = _erlang_q, -1.0, float(m)
+        for _ in range(3):
+            z = max(m, (m - 1) * math.log(z) - math.lgamma(m) - math.log(target))
+    else:
+        fn, sign = _erlang_p, 1.0
+        z = math.exp((math.log(target) + math.lgamma(m + 1)) / m)
+    for _ in range(50):
+        v = float(fn(m, np.array([z]))[0])
+        slope = sign * math.exp(m * math.log(z) - z - math.lgamma(m)) / v
+        step = math.log(v / target) / slope
+        z += z * math.expm1(-step)
+        if abs(step) <= 2.0 ** -50:
+            return z
+    raise ArithmeticError(f"no Erlang quantile at shape {m}, target {target}")
+
+
+def _gen_gamma_ends(shape: float, power: float, scale: float):
+    """The 1e-12 and 1 - 1e-13 quantiles of scale * G**(1/power),
+    G ~ Gamma(shape, 1): closed-form Newton at Erlang shapes, scipy's
+    inverse incomplete gamma functions elsewhere."""
+    m = _erlang_shape(shape)
+    if m:
+        ends = _erlang_quantile(m, 1e-12, False), _erlang_quantile(m, 1e-13, True)
+    else:
+        from scipy import special as sp
+        ends = sp.gammaincinv(shape, 1e-12), sp.gammainccinv(shape, 1e-13)
+    return tuple(scale * e ** (1.0 / power) for e in ends)
+
+
 def _gen_gamma_grid(shape: float, power: float, scale: float):
     """Log-space Gauss-Legendre mixing grid (48 panels of order 10) of
     scale * G**(1/power), G ~ Gamma(shape, 1), between its 1e-12 and
-    1 - 1e-13 quantiles, with the density folded into the weights.
+    1 - 1e-13 quantiles (``_gen_gamma_ends``), with the density folded
+    into the weights.
 
     The weights are divided by their sum, so a mixture's CDF reaches 1:
     the mass cut off outside the quantiles would otherwise leave a
     survival floor of about 1e-12, which ora's (1 + g) weight turns
     into a term growing like log g at low SNR."""
-    from scipy import special as sp
-    lo = scale * sp.gammaincinv(shape, 1e-12) ** (1.0 / power)
-    hi = scale * sp.gammainccinv(shape, 1e-13) ** (1.0 / power)
+    lo, hi = _gen_gamma_ends(shape, power, scale)
     gx, gw = np.polynomial.legendre.leggauss(10)
     edges = np.linspace(math.log(lo), math.log(hi), 48 + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -286,8 +384,9 @@ class _ProductLaw(FadingModel):
     Subclasses supply ``_factors``, the (alpha_i, m_i, omega_i) of both
     factors, and ``_order``, the power r.  pdf/cdf integrate the first
     factor's law against a fixed log-space grid of the second; the
-    sampler draws factor 0, then factor 1.  The grid is built, and
-    scipy.special imported, at construction: a shape it cannot take fails then.
+    sampler draws factor 0, then factor 1.  The grid is built at
+    construction (scipy.special imported only for a factor off the Erlang
+    shapes): a shape it cannot take fails then.
     """
 
     def __post_init__(self):
@@ -296,9 +395,8 @@ class _ProductLaw(FadingModel):
                            _gen_gamma_grid(*self._factor_law(1)))
 
     def _product_moment(self, r: float) -> float:
-        from scipy import special as sp
         return math.prod(
-            (om / m) ** (r / a) * math.exp(sp.gammaln(m + r / a) - sp.gammaln(m))
+            (om / m) ** (r / a) * math.exp(math.lgamma(m + r / a) - math.lgamma(m))
             for a, m, om in self._factors)
 
     def _y_of_gamma(self, g: np.ndarray) -> np.ndarray:

@@ -846,8 +846,10 @@ class TestHelp:
 class TestStartup:
     """The CLI loads numpy and the package alone: scipy (scipy.special
     and scipy.fft pull in numpy.f2py, numpy.ma and numpy.testing) about
-    triples the import time.  Only the families that need incomplete
-    gamma functions import scipy.special, when a model is built."""
+    triples the import time.  Only generalized-Gamma laws at non-integer
+    shapes, or integer shapes above ``fading._ERLANG_MAX_SHAPE``, import
+    scipy.special, for their incomplete gamma functions, when a model is
+    built; every shipped command runs without scipy."""
 
     @staticmethod
     def fresh(code: str) -> str:
@@ -875,20 +877,28 @@ class TestStartup:
         )
         assert self.fresh(code) == "[]"
 
-    def test_shape_one_laws_leave_scipy_unloaded(self):
-        # exponential, weibull and generalized_gamma at shape 1 are the
-        # generalized Gamma at shape 1, whose CDF is -expm1(-z) and needs
-        # no incomplete gamma function
+    def test_integer_shape_laws_leave_scipy_unloaded(self):
+        # at integer shape the incomplete gamma functions of the
+        # generalized-Gamma laws and of both factors of the product laws
+        # have Erlang closed forms; shape 1 is -expm1(-z)
         code = (
             "import sys\n"
+            "import numpy as np\n"
             "from relaycap.fading import model_from_config\n"
             "for spec in ({'family': 'exponential', 'mean_snr': 2.0},\n"
             "             {'family': 'weibull', 'shape': 1.7},\n"
             "             {'family': 'generalized_gamma', 'shape': 1.0,\n"
-            "              'power': 1.3}):\n"
+            "              'power': 1.3},\n"
+            "             {'family': 'gamma', 'shape': 3.0},\n"
+            "             {'family': 'generalized_gamma', 'shape': 2.0,\n"
+            "              'power': 0.7},\n"
+            "             {'family': 'double_generalized_gamma',\n"
+            "              'alpha1': 2.5, 'alpha2': 1.2, 'm1': 2.0, 'm2': 3.0},\n"
+            "             {'family': 'weibull_gamma', 'weibull_shape': 1.4,\n"
+            "              'gamma_shape': 2.0}):\n"
             "    hop = model_from_config(spec)\n"
-            "    hop._verify_normalized()\n"
-            "    hop.pdf([0.5, 2.0]), hop.cdf([0.5, 2.0]), hop.to_h()\n"
+            "    hop.pdf([0.5, 2.0]), hop.cdf([0.5, 2.0])\n"
+            "    hop.sample(np.random.default_rng(1), 10)\n"
             "print('scipy.special' in sys.modules)\n"
         )
         assert self.fresh(code) == "False"
@@ -896,6 +906,10 @@ class TestStartup:
     @pytest.mark.parametrize("command,config", [
         ("capacity-sweep", "fig1_selective3"),
         ("outage-sweep", "fig2_malaga"),
+        ("capacity-sweep", "fig3_dgg"),
+        ("outage-sweep", "fig3_dgg"),
+        ("opra-cutoff", "fig3_dgg"),
+        ("validate", "fig3_dgg"),
     ])
     def test_shipped_command_leaves_scipy_unloaded(self, command, config):
         code = (

@@ -110,6 +110,72 @@ class TestUnderflowedArguments:
         assert model.pdf(5e-324) == limit
 
 
+ERLANG_SHAPES = range(1, fading._ERLANG_MAX_SHAPE + 1)
+
+
+class TestErlangClosedForms:
+    """Integer shapes up to ``_ERLANG_MAX_SHAPE`` take the Erlang forms of
+    the incomplete gamma functions against mpmath, from P = 1e-300 to
+    Q = 1e-300; this test sets that cap.  P is checked on both of its
+    forms (1 - Q at z >= m - 1, the series below), Q where it is used,
+    on the upper quantile's side, z >= m - 1."""
+
+    @staticmethod
+    def z_axis(m):
+        """z from about P = 1e-300 (P <= z^m/m!) to about Q = 1e-300
+        (Q ~ e^-z z^(m-1)/(m-1)!), and both sides of the switch at m - 1."""
+        lo = math.exp((math.log(1e-300) + math.lgamma(m + 1)) / m)
+        hi = 700.0
+        for _ in range(20):
+            hi = (m - 1) * math.log(hi) - math.lgamma(m) - math.log(1e-300)
+        switch = [z for z in (np.nextafter(m - 1.0, 0.0), m - 1.0, m - 0.5)
+                  if z > 0]
+        return np.unique(np.concatenate([np.geomspace(lo, hi, 60), switch]))
+
+    @pytest.mark.parametrize("m", ERLANG_SHAPES)
+    def test_p_and_q_against_mpmath(self, m):
+        import mpmath as mp
+        mp.mp.dps = 30
+        z = self.z_axis(m)
+        p, q = fading._erlang_p(m, z), fading._erlang_q(m, z)
+        for zi, pi, qi in zip(z, p, q):
+            ref = mp.gammainc(m, 0, zi, regularized=True)
+            assert abs(pi - ref) <= 1e-13 * ref, (zi, pi)
+            if zi >= m - 1:
+                ref = mp.gammainc(m, zi, mp.inf, regularized=True)
+                assert abs(qi - ref) <= 1e-13 * ref, (zi, qi)
+
+    def test_shape_one_is_expm1(self):
+        z = np.concatenate([[0.0, 5e-324, 1e-310], np.geomspace(1e-300, 1e300, 999),
+                            [np.inf]])
+        got = fading._gen_gamma_cdf(z, 1.0, 1.0, 1.0)
+        assert np.array_equal(got, -np.expm1(-z))
+
+    @pytest.mark.parametrize("m", ERLANG_SHAPES)
+    def test_grid_ends_against_mpmath(self, m):
+        # scipy's gammaincinv/gammainccinv are no oracle here: they lie up
+        # to 20 ulp off these mpmath roots (9 ulp at shape 3)
+        import mpmath as mp
+        mp.mp.dps = 40
+        lo, hi = fading._gen_gamma_ends(float(m), 1.0, 1.0)
+        ref_lo = mp.findroot(lambda z: mp.gammainc(m, 0, z, regularized=True)
+                             - mp.mpf(1e-12), mp.mpf(lo))
+        ref_hi = mp.findroot(lambda z: mp.gammainc(m, z, mp.inf,
+                                                   regularized=True)
+                             - mp.mpf(1e-13), mp.mpf(hi))
+        for got, ref in ((lo, ref_lo), (hi, ref_hi)):
+            ref = float(ref)
+            assert abs(got - ref) <= 2 * np.spacing(ref), (got, ref)
+
+    @pytest.mark.parametrize("shape", [2.5, fading._ERLANG_MAX_SHAPE + 1.0])
+    def test_other_shapes_run_on_scipy(self, shape):
+        x = np.geomspace(1e-3, 10.0 * shape, 200)
+        assert np.array_equal(fading._gen_gamma_cdf(x, shape, 1.0, 1.0),
+                              sp.gammainc(shape, x))
+        assert fading._gen_gamma_ends(shape, 1.0, 1.0) == (
+            sp.gammaincinv(shape, 1e-12), sp.gammainccinv(shape, 1e-13))
+
+
 class TestGammaGamma:
     def test_pdf_against_compound_quadrature(self):
         """Bessel product law times the power-of-uniform pointing factor."""
