@@ -190,8 +190,9 @@ def _erlang_p(m: int, z: np.ndarray) -> np.ndarray:
     """P(m, z) = 1 - Q(m, z) at integer m, to its relative digits.
 
     At z >= m - 1, where P > 1/4, it is -expm1(-z) less the terms
-    k = 1 .. m-1 of Q, so shape 1 is -expm1(-z) bit for bit; the clip
-    only drops terms below e^-1000.  Below m - 1 it is the positive series
+    k = 1 .. m-1 of Q, so shape 1 is -expm1(-z) bit for bit; those terms
+    are taken at z <= 1000, where z**k stays finite, as Q < 1e-250 beyond
+    at every Erlang shape.  Below m - 1 it is the positive series
     e^-z z^m/m! sum_j z^j m!/(m + j)!."""
     inverse, series = _erlang_terms(m)
     p = -np.expm1(-z)
@@ -328,7 +329,8 @@ def _erlang_quantile(m: int, target: float, upper: bool) -> float:
     if upper:
         fn, sign, z = _erlang_q, -1.0, float(m)
         for _ in range(3):
-            z = max(m, (m - 1) * math.log(z) - math.lgamma(m) - math.log(target))
+            z = max(m, (m - 1) * math.log(z) - math.lgamma(m)
+                    - math.log(target))
     else:
         fn, sign = _erlang_p, 1.0
         z = math.exp((math.log(target) + math.lgamma(m + 1)) / m)
@@ -348,7 +350,8 @@ def _gen_gamma_ends(shape: float, power: float, scale: float):
     inverse incomplete gamma functions elsewhere."""
     m = _erlang_shape(shape)
     if m:
-        ends = _erlang_quantile(m, 1e-12, False), _erlang_quantile(m, 1e-13, True)
+        ends = (_erlang_quantile(m, 1e-12, False),
+                _erlang_quantile(m, 1e-13, True))
     else:
         from scipy import special as sp
         ends = sp.gammaincinv(shape, 1e-12), sp.gammainccinv(shape, 1e-13)
@@ -396,7 +399,8 @@ class _ProductLaw(FadingModel):
 
     def _product_moment(self, r: float) -> float:
         return math.prod(
-            (om / m) ** (r / a) * math.exp(math.lgamma(m + r / a) - math.lgamma(m))
+            (om / m) ** (r / a)
+            * math.exp(math.lgamma(m + r / a) - math.lgamma(m))
             for a, m, om in self._factors)
 
     def _y_of_gamma(self, g: np.ndarray) -> np.ndarray:

@@ -893,7 +893,8 @@ class TestStartup:
             "             {'family': 'generalized_gamma', 'shape': 2.0,\n"
             "              'power': 0.7},\n"
             "             {'family': 'double_generalized_gamma',\n"
-            "              'alpha1': 2.5, 'alpha2': 1.2, 'm1': 2.0, 'm2': 3.0},\n"
+            "              'alpha1': 2.5, 'alpha2': 1.2,\n"
+            "              'm1': 2.0, 'm2': 3.0},\n"
             "             {'family': 'weibull_gamma', 'weibull_shape': 1.4,\n"
             "              'gamma_shape': 2.0}):\n"
             "    hop = model_from_config(spec)\n"

@@ -146,8 +146,8 @@ class TestErlangClosedForms:
                 assert abs(qi - ref) <= 1e-13 * ref, (zi, qi)
 
     def test_shape_one_is_expm1(self):
-        z = np.concatenate([[0.0, 5e-324, 1e-310], np.geomspace(1e-300, 1e300, 999),
-                            [np.inf]])
+        z = np.concatenate([[0.0, 5e-324, 1e-310],
+                            np.geomspace(1e-300, 1e300, 999), [np.inf]])
         got = fading._gen_gamma_cdf(z, 1.0, 1.0, 1.0)
         assert np.array_equal(got, -np.expm1(-z))
 
