@@ -653,8 +653,9 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--seed", type=int, help="override mc.seed")
         p.add_argument("--samples", type=int, help="override mc.samples")
         p.add_argument("--jobs", type=_positive_int,
-                       help="worker threads for Monte Carlo batches (>= 1; "
-                       "at most one per batch and per CPU)")
+                       help="threads drawing a Monte Carlo batch's hops "
+                       "(>= 1; default one per CPU; at most one per hop "
+                       "and per CPU)")
     if command == "outage-sweep":
         p.add_argument("--validate", action="store_true",
                        help="append Monte Carlo columns")

@@ -193,15 +193,28 @@ def _erlang_p(m: int, z: np.ndarray) -> np.ndarray:
     k = 1 .. m-1 of Q, so shape 1 is -expm1(-z) bit for bit; those terms
     are taken at z <= 1000, where z**k stays finite, as Q < 1e-250 beyond
     at every Erlang shape.  Below m - 1 it is the positive series
-    e^-z z^m/m! sum_j z^j m!/(m + j)!."""
+    e^-z z^m/m! sum_j z^j m!/(m + j)!.  Built in place, in the order of
+    the plain expressions, so it keeps their bits with fewer arrays."""
     inverse, series = _erlang_terms(m)
-    p = -np.expm1(-z)
+    p = np.negative(z)
+    np.expm1(p, out=p)
+    np.negative(p, out=p)
     zc = np.minimum(z, 1e3)
-    p -= np.exp(-zc) * (_horner(zc, inverse[1:m]) * zc)
+    terms = _horner(zc, inverse[1:m])
+    terms *= zc
+    np.negative(zc, out=zc)
+    terms *= np.exp(zc, out=zc)
+    p -= terms
     low = z < m - 1
     if low.any():
         zl = z[low]
-        p[low] = _horner(zl, series) * np.exp(-zl) * (zl ** m * inverse[m])
+        head = _horner(zl, series)
+        e = np.negative(zl)
+        head *= np.exp(e, out=e)
+        zl **= m
+        zl *= inverse[m]
+        head *= zl
+        p[low] = head
     return p
 
 
@@ -592,11 +605,16 @@ class GammaGamma(_HKernel):
 
     def sample(self, rng, n):
         a, b, x2 = self.alpha, self.beta, self.xi ** 2
-        ia = rng.gamma(a, 1.0 / a, n) * rng.gamma(b, 1.0 / b, n)
-        ip = rng.random(n) ** (1.0 / x2)
-        irr = ia * ip
+        irr = rng.gamma(a, 1.0 / a, n)
+        irr *= rng.gamma(b, 1.0 / b, n)
+        ip = rng.random(n)
+        ip **= 1.0 / x2
+        irr *= ip
         r = float(self.detection_order)
-        return self.mean_snr * irr ** r / self._moment_irradiance(r)
+        irr **= r
+        irr *= self.mean_snr
+        irr /= self._moment_irradiance(r)
+        return irr
 
 
 @dataclass(frozen=True)
@@ -798,11 +816,18 @@ class Malaga(_HKernel):
     def sample(self, rng, n):
         g, om = self.scatter_power, self.los_power
         x = rng.gamma(self.alpha, 1.0 / self.alpha, n)
-        w = rng.gamma(self.beta, 1.0 / self.beta, n)
-        re = rng.normal(0.0, math.sqrt(g / 2.0), n)
+        # z = (sqrt(w * om) + re)**2 + im**2, built in place as its
+        # normal parts are drawn
+        z = rng.gamma(self.beta, 1.0 / self.beta, n)
+        z *= om
+        np.sqrt(z, out=z)
+        z += rng.normal(0.0, math.sqrt(g / 2.0), n)
+        np.square(z, out=z)
         im = rng.normal(0.0, math.sqrt(g / 2.0), n)
-        z = (np.sqrt(w * om) + re) ** 2 + im ** 2
-        return self._snr_scale * x * z
+        z += np.square(im, out=im)
+        x *= self._snr_scale
+        x *= z
+        return x
 
 
 @dataclass(frozen=True)
@@ -838,8 +863,8 @@ class GenericH(_HKernel):
 
     def sample(self, rng, n):
         probs, lng = self._inverse_grid
-        u = rng.uniform(probs[0], probs[-1], n)
-        return np.exp(np.interp(u, probs, lng))
+        lg = np.interp(rng.uniform(probs[0], probs[-1], n), probs, lng)
+        return np.exp(lg, out=lg)
 
     def with_mean_snr(self, mean_snr):
         ratio = self.mean / mean_snr

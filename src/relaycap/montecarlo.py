@@ -6,7 +6,9 @@ given seed regardless of batch execution order, and adding a hop never
 perturbs the draws of the existing ones.  Estimates stream over fixed
 batches, and the topology folds a batch's draws in one hop at a time,
 so memory is bounded by the batch size: a batch holds a few arrays of
-its size, whatever the number of hops.
+its size, whatever the number of hops.  One batch is in flight at a
+time; its hops may draw on several threads, each extra thread holding
+one more hop draw, while the fold takes the draws in hop order.
 
 One simulation serves a whole sweep of mean-SNR points.  Every catalog
 law is a scale family in its mean, and the min, max and sum that
@@ -17,10 +19,13 @@ common random numbers.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -146,8 +151,11 @@ def _policy_batch(req: PolicyRequest, g: np.ndarray) -> np.ndarray:
     if above is not None:
         v[~above] = 0.0
     count = g.size if above is None else above.sum()
-    return np.array([v.sum(), float(v @ v), float(count),
-                     float(v.max(initial=0.0))])
+    # v^2 summed pairwise in place: ``v @ v`` would call BLAS, whose
+    # threads spin on a second core after every call
+    total, largest = v.sum(), float(v.max(initial=0.0))
+    np.square(v, out=v)
+    return np.array([total, v.sum(), float(count), largest])
 
 
 def _share_diagnostic(moment: str, largest: float, total: float) -> str | None:
@@ -208,6 +216,20 @@ class SimPoint:
         object.__setattr__(self, "policies", tuple(self.policies))
 
 
+def _in_order(calls: Iterator[tuple], pool, width: int) -> Iterator:
+    """Results of ``calls``, (function, *args) tuples, in order: inline
+    when ``pool`` is None, else run on ``pool`` with at most ``width``
+    calls submitted and not yet taken by the consumer."""
+    if pool is None:
+        for fn, *args in calls:
+            yield fn(*args)
+        return
+    window = deque(pool.submit(*c) for c in itertools.islice(calls, width))
+    while window:
+        yield window.popleft().result()
+        window.extend(pool.submit(*c) for c in itertools.islice(calls, 1))
+
+
 def simulate(
     topology: Topology,
     cfg: SimConfig,
@@ -225,9 +247,11 @@ def simulate(
     draws times its scale, which is the topology with every hop mean
     multiplied by that scale: min, max and sum commute with a positive
     factor, and every catalog law is a scale family in its mean.
-    Batches may run on at most ``jobs`` threads, one per batch and CPU
-    available, each holding its batch's draws; partial sums are merged
-    in batch order, so the result is identical to the sequential run.
+    The hops of a batch draw on at most ``jobs`` threads (default: one
+    per CPU available; ``jobs=1`` runs no pool), never more than there
+    are hops or CPUs.  At most one draw per thread is pending beyond
+    the fold, which takes the draws in hop order, so the result is
+    identical to the sequential run whatever the thread count.
     """
     taus_arr = np.asarray([float(t) for t in taus], dtype=float)
     if np.any(np.diff(taus_arr) < 0.0):
@@ -237,29 +261,32 @@ def simulate(
         raise ValueError("simulate needs at least one point")
     hops = topology.flat_hops()
     sizes = _batch_sizes(cfg.samples, cfg.batch)
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(jobs or cpus, len(hops), cpus)
 
-    def run_batch(b: int) -> list[tuple]:
-        nb = sizes[b]
-        unit = topology.combine(hop.sample(_stream(cfg.seed, h, b), nb)
-                                for h, hop in enumerate(hops))
+    def run_batch(draws: Iterator[np.ndarray]) -> list[tuple]:
+        unit = topology.combine(draws)
         # a positive factor keeps the order, so one sort serves every point
         ordered = np.sort(unit)
+        g = np.empty_like(unit)
         partials = []
         for point in points:
-            g = point.scale * unit
-            counts = np.searchsorted(point.scale * ordered, taus_arr,
-                                     side="right")
+            np.multiply(point.scale, ordered, out=g)
+            counts = np.searchsorted(g, taus_arr, side="right")
+            np.multiply(point.scale, unit, out=g)
             partials.append((counts, g.sum(),
                              [_policy_batch(r, g) for r in point.policies]))
         return partials
 
-    workers = min(jobs or 1, len(sizes), len(os.sched_getaffinity(0)))
+    pool = None
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(run_batch, range(len(sizes))))
-    else:
-        batches = [run_batch(b) for b in range(len(sizes))]
+        pool = ThreadPoolExecutor(max_workers=workers)
+    with pool or contextlib.nullcontext():
+        batches = [run_batch(_in_order(
+            ((hop.sample, _stream(cfg.seed, h, b), nb)
+             for h, hop in enumerate(hops)), pool, workers))
+            for b, nb in enumerate(sizes)]
     return [_report(point.policies, taus_arr, cfg.samples, per_batch)
             for point, per_batch in zip(points, zip(*batches))]
 

@@ -11,8 +11,9 @@ a selective system is the maximum of its branch minima or, in the
 marginal-product variant, of the first-hop and second-hop minima.
 Each topology's ``combine`` realises the physical recipe (min / max
 of min / sum of min) over per-hop draws taken in ``flat_hops`` order,
-folding any iterable of them one draw at a time; Monte Carlo samples
-through it, independent of the analytic CDF route.
+folding any iterable of them one draw at a time into the first draw of
+its branch, which it owns and overwrites; Monte Carlo samples through
+it, independent of the analytic CDF route.
 
 Hop models and branch pairs hash by value, so equal hops, or equal
 branches, are one group whose factor is a power: each distinct hop is
@@ -157,6 +158,12 @@ def _first_pairs(branches: Sequence[BranchPair]) -> tuple[BranchPair, ...]:
     return _first_of_equals(zip(hops[::2], hops[1::2]))
 
 
+def _into(ufunc) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``ufunc(a, b)`` written over ``a``: a fold that owns its draws
+    keeps one accumulator instead of a new array per step."""
+    return lambda a, b: ufunc(a, b, out=a)
+
+
 @dataclass(frozen=True)
 class Serial:
     """Chain of regenerative hops; end-to-end SNR is the hop minimum."""
@@ -175,7 +182,8 @@ class Serial:
         return Serial(tuple(h.with_mean_snr(mean_snr) for h in self.hops))
 
     def combine(self, draws: Iterable[np.ndarray]) -> np.ndarray:
-        return functools.reduce(np.minimum, draws)
+        """Minimum of the draws, folded into (and overwriting) the first."""
+        return functools.reduce(_into(np.minimum), draws)
 
 
 class _Branched:
@@ -192,9 +200,10 @@ class _Branched:
 
     @staticmethod
     def _branch_minima(draws: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        """Minimum of each consecutive pair of draws, one pair at a time."""
+        """Minimum of each consecutive pair of draws, one pair at a time,
+        written into the first of the pair."""
         draw = iter(draws)
-        return map(np.minimum, draw, draw)
+        return map(_into(np.minimum), draw, draw)
 
 
 @dataclass(frozen=True)
@@ -211,7 +220,8 @@ class Selective(_Branched):
         object.__setattr__(self, "branches", _first_pairs(self.branches))
 
     def combine(self, draws: Iterable[np.ndarray]) -> np.ndarray:
-        return functools.reduce(np.maximum, self._branch_minima(draws))
+        """Largest branch minimum, folded into the first hop's draw."""
+        return functools.reduce(_into(np.maximum), self._branch_minima(draws))
 
 
 @dataclass(frozen=True)
@@ -235,7 +245,8 @@ class AllActive(_Branched):
         object.__setattr__(self, "branches", _first_pairs(self.branches))
 
     def combine(self, draws: Iterable[np.ndarray]) -> np.ndarray:
-        return functools.reduce(np.add, self._branch_minima(draws))
+        """Sum of the branch minima, folded into the first hop's draw."""
+        return functools.reduce(_into(np.add), self._branch_minima(draws))
 
 
 Topology = Serial | Selective | AllActive

@@ -510,7 +510,8 @@ class TestParentLawDraws:
     @pytest.mark.parametrize("name, arrays", [
         ("exponential", 1), ("gamma", 1), ("weibull", 1),
         ("generalized_gamma", 1), ("weibull_gamma", 2),
-        ("double_generalized_gamma", 2),
+        ("double_generalized_gamma", 2), ("gamma_gamma", 2), ("malaga", 3),
+        ("generic_h", 2),
     ])
     def test_traced_peak_in_batch_arrays(self, name, arrays):
         model, n = TestSamplers.models[name], 1 << 17

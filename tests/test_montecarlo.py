@@ -2,14 +2,23 @@
 heavy-tail instability flags."""
 
 import math
-from dataclasses import replace
+import sys
+import threading
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from relaycap import montecarlo, topology
 from relaycap.errors import InsufficientSamples
-from relaycap.fading import Exponential, Gamma
+from relaycap.fading import (
+    DoubleGeneralizedGamma,
+    Exponential,
+    Gamma,
+    GenericH,
+    Malaga,
+)
+from relaycap.foxh import HParams
 from relaycap.montecarlo import (
     PolicyRequest,
     SimConfig,
@@ -49,18 +58,19 @@ class TestDeterminism:
     def test_threaded_run_matches_sequential(self):
         cfg = SimConfig(samples=200_000, seed=42, batch=1 << 15)
         points = [SimPoint(policies=ALL_POLICIES)]
-        seq = simulate(serial_pair(), cfg, [0.5, 1.0], points)
+        seq = simulate(serial_pair(), cfg, [0.5, 1.0], points, jobs=1)
         par = simulate(serial_pair(), cfg, [0.5, 1.0], points, jobs=4)
         assert seq == par
 
-    @pytest.mark.parametrize("jobs,batches,cpus,workers", [
-        (1000, 3, 4, 3), (1000, 10, 4, 4), (2, 10, 4, 2), (1, 10, 4, None),
-        (8, 1, 4, None), (8, 10, 1, None),
+    @pytest.mark.parametrize("jobs,hops,cpus,workers", [
+        (None, 6, 2, 2), (None, 2, 4, 2), (1000, 3, 4, 3), (1000, 10, 4, 4),
+        (2, 10, 4, 2), (1, 10, 4, None), (8, 1, 4, None), (8, 10, 1, None),
     ])
-    def test_workers_bounded_by_batches_and_cpus(self, monkeypatch, jobs,
-                                                 batches, cpus, workers):
-        # each worker holds its batch's draws, so no more are started
-        # than there are batches to run or CPUs to run them on
+    def test_workers_bounded_by_hops_and_cpus(self, monkeypatch, jobs, hops,
+                                              cpus, workers):
+        # the hops of one batch draw in parallel and each worker holds
+        # one hop's draws, so no more are started than there are hops to
+        # draw or CPUs to draw them on; one worker runs without a pool
         import concurrent.futures
 
         started = []
@@ -75,15 +85,60 @@ class TestDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
-        cfg = SimConfig(samples=1000 * batches, seed=1, batch=1000)
-        simulate(serial_pair(), cfg, [1.0], jobs=jobs)
+        chain = Serial(hops=(Exponential(1.0),) * hops)
+        cfg = SimConfig(samples=3000, seed=1, batch=1000)
+        simulate(chain, cfg, [1.0], jobs=jobs)
         assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_in_order_keeps_at_most_width_calls_ahead(self, width):
+        # an extra worker holds one more hop draw, never a whole batch
+        taken, ahead = [], []
+
+        class LazyFuture:
+            def __init__(self, fn, args):
+                self.fn, self.args = fn, args
+
+            def result(self):
+                taken.append(self)
+                return self.fn(*self.args)
+
+        class Pool:
+            submitted = 0
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                ahead.append(self.submitted - len(taken))
+                return LazyFuture(fn, args)
+
+        calls = iter([(int, str(i)) for i in range(7)])
+        got = list(montecarlo._in_order(calls, Pool(), width))
+        assert got == list(range(7))
+        assert max(ahead) == width
+
+    def test_sampler_error_leaves_no_thread_running(self):
+        @dataclass(frozen=True)
+        class Broken(Exponential):
+            def sample(self, rng, n):
+                raise RuntimeError("sampler failed")
+
+        chain = Serial(hops=(Exponential(1.0), Broken(2.0), Exponential(3.0)))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="sampler failed"):
+            simulate(chain, SimConfig(samples=4000, seed=3, batch=1000),
+                     [1.0], jobs=2)
+        assert threading.active_count() == before
 
     def test_different_seeds_differ(self):
         taus = [1.0]
@@ -294,6 +349,83 @@ SWEEP_POLICIES = (
 )
 
 
+def _dgg_selective():
+    # a DGG draw is a product of two generalized-Gamma draws from one stream
+    dgg = [DoubleGeneralizedGamma(alpha1=3.0, alpha2=1.5, m1=2.0, m2=2.0,
+                                  detection_order=2, mean_snr=m)
+           for m in (1.0, 2.0, 0.5)]
+    return Selective(branches=((dgg[0], dgg[1]), (dgg[2], dgg[0])))
+
+
+def _generic_h_chain():
+    # equal hops are one instance, so its lazily built inverse-CDF grid
+    # is shared by all three draws of a batch
+    hop = GenericH(kappa=1.0, delta=1.0,
+                   params=HParams(m=1, n=0, lower=((1.0, 1.0),)))
+    return Serial(hops=(hop, hop, hop))
+
+
+def _malaga_all_active():
+    kw = dict(alpha=2.296, beta=1.822, omega_prime=1.3265, b0=0.1079,
+              rho=0.596, series_terms=320)
+    a, b = Malaga(**kw), Malaga(mean_irradiance=2.0, **kw)
+    return AllActive(branches=((a, b), (b, a), (a, a)))
+
+
+class TestThreadedDraws:
+    """Hops drawn on threads give the sequential report bit for bit."""
+
+    CFG = SimConfig(samples=20_000, seed=21, batch=6000)
+    POINTS = (SimPoint(scale=0.5, policies=SWEEP_POLICIES),
+              SimPoint(scale=4.0, policies=SWEEP_POLICIES))
+
+    @pytest.mark.parametrize("build", [
+        _dgg_selective, _generic_h_chain, _malaga_all_active,
+    ], ids=["dgg_selective", "generic_h_chain", "malaga_all_active"])
+    def test_threads_match_sequential(self, monkeypatch, build):
+        # more workers than cores, switching often, and a fresh topology
+        # per run, so the threads race to build each hop's lazy state
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                            lambda pid: set(range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [simulate(build(), self.CFG, [0.3, 1.0, 3.0], self.POINTS,
+                             **jobs)
+                    for jobs in ({"jobs": 2}, {}, {"jobs": 1})]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] == runs[2]
+
+
+class TestSecondMoment:
+    """The policy term's sum of squares, summed pairwise without BLAS."""
+
+    @pytest.mark.parametrize("req,term", [
+        (PolicyRequest(name="ora"), lambda g: 0.5 * np.log2(1.0 + g)),
+        (PolicyRequest(name="opra", cutoff=0.7),
+         lambda g: 0.5 * np.log2(np.maximum(g, 0.7) / 0.7)),
+        (PolicyRequest(name="effective", qos_delta=2.0),
+         lambda g: (1.0 + g) ** (-2.0 * 0.5 / math.log(2.0))),
+        (PolicyRequest(name="tcifr", cutoff=0.7),
+         lambda g: np.where(g >= 0.7, 1.0 / g, 0.0)),
+        (PolicyRequest(name="cifr"), lambda g: 1.0 / g),
+    ], ids=["ora", "opra", "effective", "tcifr", "cifr"])
+    def test_matches_exact_sum(self, req, term):
+        g = Exponential(1.0).sample(np.random.default_rng(4), 50_000)
+        want = math.fsum(term(g) ** 2)
+        got = montecarlo._policy_batch(req, g)[1]
+        assert got == pytest.approx(want, rel=1e-15)
+
+    def test_cifr_at_zero_is_infinite(self):
+        g = np.array([0.0, 0.5, 2.0])
+        with np.errstate(divide="ignore"):
+            want = math.fsum((1.0 / g) ** 2)
+        assert want == math.inf
+        assert montecarlo._policy_batch(PolicyRequest(name="cifr"), g)[1] \
+            == math.inf
+
+
 class TestSweepPoints:
     """One draw per batch, rescaled to every point, equals a run on the
     topology whose hop means carry the point's scale."""
@@ -340,7 +472,7 @@ class TestSweepPoints:
     def test_threaded_sweep_matches_sequential(self):
         points = [SimPoint(scale=c, policies=SWEEP_POLICIES)
                   for c in self.SCALES]
-        seq = simulate(serial_pair(), self.CFG, self.TAUS, points)
+        seq = simulate(serial_pair(), self.CFG, self.TAUS, points, jobs=1)
         par = simulate(serial_pair(), self.CFG, self.TAUS, points, jobs=2)
         assert seq == par
 

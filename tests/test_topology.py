@@ -348,8 +348,10 @@ class TestValueRule:
     def test_combine_folds_a_generator_like_a_list(self, topo):
         rng = np.random.default_rng(5)
         draws = [h.sample(rng, 1000) for h in topo.flat_hops()]
-        folded = topo.combine(d for d in draws)
-        assert folded.tobytes() == topo.combine(draws).tobytes()
+        # combine owns and overwrites its draws: each fold gets copies
+        folded = topo.combine(d.copy() for d in draws)
+        listed = topo.combine([d.copy() for d in draws])
+        assert folded.tobytes() == listed.tobytes()
 
 
 class TestInterning:
