@@ -267,7 +267,9 @@ class TestMemory:
         cfg = SimConfig(samples=1 << 14, seed=3, batch=1 << 14)
         tracemalloc.start()
         try:
-            simulate(topo, cfg, [1.0])
+            # each worker holds one more draw, so the bound needs a fixed
+            # worker count, whatever the machine's CPUs
+            simulate(topo, cfg, [1.0], jobs=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
