@@ -90,9 +90,6 @@ class TestDeterminism:
                 future.set_result(fn(*args))
                 return future
 
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
