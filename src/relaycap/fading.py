@@ -673,7 +673,7 @@ class Malaga(_HKernel):
 
     _POSITIVE = ("alpha", "beta", "b0", "mean_irradiance")
     _MEAN = "mean_irradiance"
-    # fig2_malaga's hop takes about 2.5 s for its first density value at
+    # fig2_malaga's hop takes about 0.45 s for its first density value at
     # 30,000 terms on 2 cores; the time is linear in the terms
     MAX_SERIES_TERMS = 30_000
 

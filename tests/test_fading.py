@@ -344,6 +344,38 @@ class TestMalaga:
         )
         assert mean == pytest.approx(1.7, abs=1e-6)
 
+    @pytest.mark.parametrize("beta", [1.822, 3.0, 1.0])
+    def test_no_line_of_sight_is_the_k_distribution(self, beta):
+        """omega_prime = rho = 0 zeroes every mixture weight after the
+        first, whatever beta: I is Gamma(alpha) times an exponential, the
+        K distribution.  The values the log-sum-exp series gave (to 16
+        digits) must hold within the reported error, and the closed form
+        f = 2 a^((a+1)/2) x^((a-1)/2) K_{a-1}(2 sqrt(a x)) / Gamma(a),
+        F = 1 - 2 (a x)^(a/2) K_a(2 sqrt(a x)) / Gamma(a) within 1e-12."""
+        m = Malaga(**dict(MALAGA_KW, beta=beta, omega_prime=0.0, rho=0.0))
+        x = np.array([0.1, 1.0, 3.0])
+        kappa, delta = m._kappa_delta
+        cdf, cdf_err = foxh.mellin_barnes(m._theta, m._cdf_contour,
+                                          delta * x, weight_power=0.0)
+        pdf, pdf_err = foxh.mellin_barnes(m._theta, m._pdf_contour,
+                                          delta * x)
+        cdf, cdf_err = cdf / delta, cdf_err / delta
+        pdf, pdf_err = kappa * pdf, kappa * pdf_err
+        before_cdf = [0.1467718177554552, 0.6857035881604611,
+                      0.9300694471862256]
+        before_pdf = [1.251839925452789, 0.2883516599392124,
+                      0.0448508436413076]
+        assert np.all(np.abs(cdf - before_cdf) <= cdf_err)
+        assert np.all(np.abs(pdf - before_pdf) <= pdf_err)
+        np.testing.assert_array_equal(m.cdf(x), np.clip(cdf, 0.0, 1.0))
+        np.testing.assert_array_equal(m.pdf(x), pdf)
+        a, z = m.alpha, 2.0 * np.sqrt(m.alpha * x)
+        k_pdf = (2.0 * a ** ((a + 1) / 2) * x ** ((a - 1) / 2)
+                 * sp.kv(a - 1, z) / sp.gamma(a))
+        k_cdf = 1.0 - 2.0 * (a * x) ** (a / 2) * sp.kv(a, z) / sp.gamma(a)
+        np.testing.assert_allclose(pdf, k_pdf, rtol=1e-12)
+        np.testing.assert_allclose(cdf, k_cdf, rtol=1e-12)
+
     def test_each_mean_keeps_its_own_contour_memo(self):
         # the fused-series coefficients carry log delta, which moves with
         # the mean, so a memo keyed on the shape would serve wrong values

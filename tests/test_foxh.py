@@ -671,6 +671,47 @@ class TestFusedSeries:
         top = want.real.max()
         assert np.max(np.abs(np.exp(got - top) - np.exp(want - top))) <= 1e-14
 
+    @pytest.mark.parametrize("beta,terms", [(1.822, 40), (3.0, 3),
+                                            (1.0, 1)])
+    @pytest.mark.parametrize("contour", ["pdf", "cdf"])
+    def test_zero_weights_match_dense_log_sum_exp(self, beta, terms,
+                                                  contour):
+        """No line-of-sight power (omega_prime = rho = 0) leaves one
+        Erlang: every weight after the first is zero (ln w = -inf), a
+        NaN in a ratio recurrence unless the zero terms are dropped.
+        beta 1.822 is the negative-binomial series, 3 the binomial one
+        and 1 a single term."""
+        m = Malaga(alpha=2.296, beta=beta, omega_prime=0.0, b0=0.1079,
+                   rho=0.0)
+        lk = m._kernel[1]
+        assert len(lk) == terms and np.all(lk[1:] == -np.inf)
+        rows = ((m.alpha - 1.0, 1.0),)
+        s = getattr(m, f"_{contour}_contour").c + 1j * self.T
+        got = foxh.fused_series_theta(rows, lk)(s)
+        want = dense_series_theta(rows, lk)(s)
+        top = want.real.max()
+        assert np.max(np.abs(np.exp(got - top) - np.exp(want - top))) <= 1e-14
+
+    @pytest.mark.parametrize("lw", [[0.0, -np.inf, -1.0], [-np.inf, 0.0],
+                                    [0.0, np.nan], [-np.inf]])
+    def test_other_non_finite_weights_rejected(self, lw):
+        with pytest.raises(ValueError, match="ln-weights must be finite"):
+            foxh.fused_series_theta(((1.0, 1.0),), np.array(lw))
+
+    def test_longest_series_over_the_whole_contour(self):
+        """MAX_SERIES_TERMS terms on 65 nodes out to |Im s| = 960,
+        against the dense sum (a 30,000 x 65 buffer, 31 MB): every
+        value finite, so the Horner sum's rescaling holds."""
+        m = Malaga(alpha=2.296, beta=1.822, omega_prime=1.3265, b0=0.1079,
+                   rho=0.596, series_terms=Malaga.MAX_SERIES_TERMS)
+        rows, lk = ((m.alpha - 1.0, 1.0),), m._kernel[1]
+        s = m._pdf_contour.c + 1j * np.linspace(-960.0, 960.0, 65)
+        got = foxh.fused_series_theta(rows, lk)(s)
+        want = dense_series_theta(rows, lk)(s)
+        assert np.all(np.isfinite(got))
+        top = want.real.max()
+        assert np.max(np.abs(np.exp(got - top) - np.exp(want - top))) <= 1e-14
+
     def test_memory_stays_node_length(self):
         """A few node-length arrays, not one per term (the dense form's
         320 x 8,193 buffer is 42 MB)."""
